@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -42,12 +41,12 @@ from .model import (
     build_threshold_model,
 )
 from .oracle import (
-    AtomicMeasure2D, BVFunctionSpec, default_cap, estimate_functional,
-    max_n_estimate, spitzer_series, verify_hewitt_discrete,
+    AtomicMeasure2D, BVFunctionSpec, _series_terms, default_cap,
+    estimate_functional, max_n_estimate, spitzer_series, verify_hewitt_discrete,
 )
 from .roots import find_kernel_roots
 
-__all__ = ["RunConfig", "run", "main", "load_model", "emit_csv"]
+__all__ = ["run", "main", "load_model", "emit_csv"]
 
 _VALIDATION_ERRORS = (DomainError, InvalidSpec, ParseError, UnsupportedModel,
                       StabilityError, PreconditionViolated, PoleError, ValueError)
@@ -56,18 +55,6 @@ _NUMERIC_ERRORS = (NoConvergence, CountMismatch, ZeroOnContour,
 
 _DEFAULT_Z = (0.3, 0.5, 0.7)
 _DEFAULT_S = (0.5, 1.0, 2.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation, validated before dispatch."""
-
-    model_path: str | None
-    command: str
-    grid: tuple[tuple[complex, ...], tuple[complex, ...]]
-    spec: ContourSpec
-    seed: int
-    output: str | None
 
 
 # --- model files -----------------------------------------------------------
@@ -238,17 +225,18 @@ def _eval_point(functional, engine, wf, spec, args, z, s) -> TransformValue:
             return max_transform_rational(wf, z, s)
         raise UnsupportedModel("the rational engine does not cover 'idle';"
                                " use contour, mc, or series")
-    cap = args.cap if args.cap is not None else default_cap(z)
     pair = {"busy": (s, 0.0), "idle": (0.0, -s), "steps": (0.0, 0.0)}.get(functional)
     if pair is None:
         raise UnsupportedModel(f"engine '{engine}' does not cover 'max';"
                                " use contour or rational")
     s1, s2 = pair
     if engine == "mc":
+        cap = args.cap if args.cap is not None else default_cap(z)
         est = estimate_functional(model, z, s1, s2, args.paths, cap, args.seed)
         return TransformValue(est.mean, est.std_err + est.truncation_bias_bound,
                               "montecarlo")
-    return spitzer_series(model, z, s1, s2, min(cap, 200), args.paths, args.seed)
+    n_max = args.cap if args.cap is not None else _series_terms(z)
+    return spitzer_series(model, z, s1, s2, n_max, args.paths, args.seed)
 
 
 def _cmd_eval(args) -> int:
@@ -257,7 +245,6 @@ def _cmd_eval(args) -> int:
     zs = _parse_clist(args.z, _DEFAULT_Z)
     ss = _parse_clist(args.s, _DEFAULT_S) if args.functional != "steps" else (0.0,)
     _validate_eval_grid(args.functional, args.engine, zs, ss)
-    config = RunConfig(args.model, "eval", (zs, ss), spec, args.seed, args.out)
     points = [(z, s) for z in zs for s in ss]
 
     def worker(pt):
@@ -266,7 +253,7 @@ def _cmd_eval(args) -> int:
         return [z.real, z.imag, complex(s).real, complex(s).imag,
                 tv.value.real, tv.value.imag, tv.abs_err, tv.method]
 
-    emit_csv(_EVAL_HEADER, _sweep(points, worker), config.output)
+    emit_csv(_EVAL_HEADER, _sweep(points, worker), args.out)
     return 0
 
 
@@ -435,13 +422,18 @@ def _cmd_verify_hewitt(args) -> int:
 
 # --- argument grammar -------------------------------------------------------
 
-def _add_common(p, model_required=True):
-    p.add_argument("--model", required=model_required, help="model file path")
+def _add_common(p, model=True, seed=True):
+    if model:
+        p.add_argument("--model", required=True, help="model file path")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_contour(p):
     p.add_argument("--T", type=float, default=120.0, help="truncation height")
     p.add_argument("--nodes", type=int, default=24, help="nodes per unit panel")
     p.add_argument("--tol", type=float, default=1e-5, help="contour tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,18 +446,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a transform on a (z, s) grid")
     p.add_argument("functional", choices=["busy", "idle", "steps", "max"])
     _add_common(p)
+    _add_contour(p)
     p.add_argument("--engine", choices=["contour", "rational", "mc", "series"],
                    default="contour")
     p.add_argument("--z", default=None, help="comma list of z values")
     p.add_argument("--s", default=None, help="comma list of s values")
-    p.add_argument("--grid", choices=["default"], default=None,
-                   help="use the built-in default grid")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("roots", help="certified left kernel roots")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--z", required=True)
     p.add_argument("--s", required=True)
     p.set_defaults(func=_cmd_roots)
@@ -483,21 +474,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="cross-engine discrepancy table")
     _add_common(p)
+    _add_contour(p)
     p.add_argument("--z", default=None)
     p.add_argument("--s", default=None)
-    p.add_argument("--grid", choices=["default"], default=None)
     p.add_argument("--paths", type=int, default=200_000)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("invert", help="first-descent b-total distribution")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--z", default="1")
     p.add_argument("--t", required=True, help="comma list of positive times")
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("verify-hewitt", help="inversion identity spot checks")
-    _add_common(p, model_required=False)
+    _add_common(p, model=False)
+    _add_contour(p)
     p.add_argument("--count", type=int, default=5,
                    help="number of random measures")
     p.set_defaults(func=_cmd_verify_hewitt)

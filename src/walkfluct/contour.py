@@ -128,33 +128,19 @@ def _half_axis_rule(T: float, nodes: int,
 
 
 def _eval_density(density, xi: np.ndarray) -> np.ndarray:
-    """Evaluate density on an array of axis points.
+    """Evaluate a vectorized density on an array of axis points in one call.
 
-    Contract: one call per half-axis, points ordered by increasing |Im xi|,
-    so integrands that track a log branch can unwrap within the call.  Tries
-    the vectorized call first and falls back to pointwise evaluation for
-    scalar-only callables.
+    A WalkfluctError from the density propagates as it is; any other failure,
+    including a density that only accepts scalars, raises EvalError.
     """
-    vals = None
     with np.errstate(all="ignore"):
         try:
             raw = density(xi)
+            vals = np.broadcast_to(np.asarray(raw, dtype=complex), xi.shape).astype(complex)
         except WalkfluctError:
             raise
-        except Exception:
-            raw = None
-        if raw is not None:
-            try:
-                vals = np.broadcast_to(np.asarray(raw, dtype=complex), xi.shape).astype(complex)
-            except Exception:
-                vals = None
-        if vals is None:
-            try:
-                vals = np.array([complex(density(complex(p))) for p in xi], dtype=complex)
-            except WalkfluctError:
-                raise
-            except Exception as exc:
-                raise EvalError(f"density evaluation failed: {exc}") from exc
+        except Exception as exc:
+            raise EvalError(f"density evaluation failed: {exc}") from exc
     bad = ~np.isfinite(vals)
     if bad.any():
         where = xi[bad][0]

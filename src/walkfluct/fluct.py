@@ -7,20 +7,18 @@ is exact (up to root residuals) for models carrying a RationalKernel.  The
 orientation of the axis integrals, including the sign of the semicircular
 correction, is frozen by convention tests against the M/M/1 closed forms.
 
-Branch handling: for |z| < 1 the kernels 1 - z h stay inside the disc of
-radius |z| around 1, so the principal logarithm is already continuous along
-each half-axis.  The default "anchored_principal" mode additionally unwraps
-the phase along the sweep and re-anchors it at the far endpoint, where the
-kernel tends to 1; this keeps the densities continuous even when |z h| comes
-close to 1.
+Branch handling: on the imaginary axis every kernel value h is a transform
+of a probability law, so |h| <= 1 and, for |z| < 1, Re(1 - z h) > 0.  The
+kernels never reach the cut of the principal logarithm, which is therefore
+continuous along each half-axis and is used as it is.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +42,6 @@ STABLE = "stable"
 CRITICAL = "critical"
 UNSTABLE = "unstable"
 
-_CONTOUR_MODES = ("anchored_principal", "principal")
-
 
 def _classify(mean_b: float, mean_a: float) -> str:
     tol = 1e-12 * (1.0 + abs(mean_a) + abs(mean_b))
@@ -58,43 +54,32 @@ def _classify(mean_b: float, mean_a: float) -> str:
 
 @dataclass(frozen=True)
 class WalkFunctionals:
-    """An increment model bundled with its drift regime and branch conventions."""
+    """An increment model bundled with its drift regime."""
 
     model: IncrementModel
     stability: str
-    conventions: Mapping[str, str] = field(
-        default_factory=lambda: {"contour": "anchored_principal", "rational": "exact"})
 
     def __post_init__(self) -> None:
         if self.stability != _classify(self.model.mean_b, self.model.mean_a):
             raise ValueError("stability label disagrees with the model means")
-        if self.conventions.get("contour", "anchored_principal") not in _CONTOUR_MODES:
-            raise ValueError(f"unknown contour log-branch mode, use one of {_CONTOUR_MODES}")
 
 
-def walk_functionals(model: IncrementModel,
-                     conventions: Mapping[str, str] | None = None) -> WalkFunctionals:
-    if conventions is None:
-        return WalkFunctionals(model, _classify(model.mean_b, model.mean_a))
-    return WalkFunctionals(model, _classify(model.mean_b, model.mean_a), conventions)
+def walk_functionals(model: IncrementModel) -> WalkFunctionals:
+    return WalkFunctionals(model, _classify(model.mean_b, model.mean_a))
 
 
-def _tracked_log(w: np.ndarray, mode: str) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    if mode == "anchored_principal" and w.size > 1:
-        phase = np.unwrap(np.angle(w))
-        phase -= _TWO_PI * np.round(phase[-1] / _TWO_PI)
-        return np.log(np.abs(w)) + 1j * phase
-    return np.log(w)
+def _log(w: np.ndarray) -> np.ndarray:
+    # the principal logarithm from its real and imaginary parts, which is
+    # several times faster than numpy's complex log on quadrature arrays
+    return np.log(np.abs(w)) + 1j * np.angle(w)
 
 
 def _phi1(wf: WalkFunctionals, z: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """log(1 - z h(xi, -xi)) with branch continuation along each half-axis."""
-    mode = wf.conventions.get("contour", "anchored_principal")
+    """log(1 - z h(xi, -xi)) on the principal branch."""
 
     def phi(xi):
         xi = np.asarray(xi, dtype=complex)
-        return _tracked_log(1.0 - z * increment_char(wf.model, xi), mode)
+        return _log(1.0 - z * increment_char(wf.model, xi))
 
     return phi
 
@@ -121,12 +106,11 @@ def busy_period_transform(wf: WalkFunctionals, z: complex, s: complex,
     _check_interior(z, s)
     if z == 0:
         return TransformValue(0j, 0.0, "contour")
-    mode = wf.conventions.get("contour", "anchored_principal")
     model = wf.model
 
     def density(xi):
         xi = np.asarray(xi, dtype=complex)
-        return _tracked_log(1.0 - z * lst_eval(model, xi, s - xi), mode) / (s - xi)
+        return _log(1.0 - z * lst_eval(model, xi, s - xi)) / (s - xi)
 
     pv = pv_axis(density, spec, asymptotic_coeff=0.0, refine_near=_pole_refinement(s))
     j_b = pv.value / _TWO_PI_I

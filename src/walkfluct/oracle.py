@@ -3,8 +3,8 @@
 Three simulation oracles (first-descent functional, truncated series over
 step counts, running-maximum at a fixed horizon) plus a direct numerical
 check of the inversion identity on finite atomic measures.  Simulation uses
-counter-based Philox streams, one per block or series term, so results are
-bit-reproducible from (seed, paths, cap) and safe to parallelize.
+counter-based Philox streams, one per block, so results are bit-reproducible
+from (seed, paths, cap) and safe to parallelize.
 
 Walks that touch 0 exactly are scored with weight 1/2: the transform
 identities carry the symmetric indicator (1{S <= 0} + 1{S < 0})/2, and the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,13 +211,54 @@ def estimate_functional(model: IncrementModel, z: complex, s1: complex,
     return MCEstimate(mean, std_err, paths, cap, bias)
 
 
+def _series_tail(az: float, n_max: int) -> float:
+    """Bound on sum_{n > n_max} |z|^n / n, the part of the series left out."""
+    return az ** (n_max + 1) / ((n_max + 1) * (1.0 - az))
+
+
+def _series_terms(z: complex) -> int:
+    """Fewest series terms whose tail is below 1e-6, the target of default_cap."""
+    az = abs(complex(z))
+    n_max = 0
+    while _series_tail(az, n_max) > 1e-6:
+        n_max += 1
+    return n_max
+
+
+def _path_blocks(model: IncrementModel, n: int, paths: int,
+                 seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield prefix sums (B, S), each of shape (m, n), over blocks of m paths.
+
+    B is the running b-total and S = cumsum(b - a) the walk; block k draws
+    its m*n pairs from Philox stream k.
+    """
+    chunk = max(1, min(_BLOCK, 4_000_000 // n))
+    for block, done in enumerate(range(0, paths, chunk)):
+        m = min(chunk, paths - done)
+        b, a = _draw(model, _stream(seed, block), m * n)
+        b = np.asarray(b).reshape(m, n)
+        S = np.cumsum(b - np.asarray(a).reshape(m, n), axis=1)
+        yield np.cumsum(b, axis=1), S
+
+
+def _block_moments(blocks: Iterable[np.ndarray], n: int) -> tuple[complex, float]:
+    """Mean and standard error of n per-path values arriving in blocks."""
+    total, total_sq = 0j, 0.0
+    for vals in blocks:
+        total += complex(vals.sum())
+        total_sq += float(np.sum(np.abs(vals) ** 2))
+    return _mc_moments(total, total_sq, n)
+
+
 def spitzer_series(model: IncrementModel, z: complex, s1: complex, s2: complex,
                    n_max: int, paths_per_n: int, seed: int) -> TransformValue:
     """1 - exp{-sum_{n<=n_max} (z^n/n) E[e^{-s1 b_n - s2 S_n}; S_n < 0]} by MC.
 
-    Each series term gets its own Philox stream, so terms are reproducible
-    and independently parallelizable.  The geometric remainder of the series
-    is added to abs_err alongside the propagated statistical noise.
+    All terms share paths_per_n paths of n_max steps: each path scores
+    sum_n (z^n/n) w(S_n) e^{-s1 B_n - s2 S_n}, w = 1{S < 0} + 1{S = 0}/2, so
+    the standard error of that per-path value is the exact noise of the
+    exponent.  abs_err propagates it, plus the geometric remainder of the
+    series, through the exponential.
     """
     z, s1, s2 = complex(z), complex(s1), complex(s2)
     if abs(z) >= 1.0 or s1.real < -1e-12 or s2.real > 1e-12:
@@ -225,33 +267,18 @@ def spitzer_series(model: IncrementModel, z: complex, s1: complex, s2: complex,
         raise ValueError("need n_max >= 0 and paths_per_n >= 1")
     if z == 0:
         return TransformValue(0j, 0.0, "series")
-    acc = 0j
-    noise = 0.0
-    for n in range(1, n_max + 1):
-        rng = _stream(seed, n)
-        total, total_sq = 0j, 0.0
-        done = 0
-        chunk = max(1, min(paths_per_n, 4_000_000 // n))
-        while done < paths_per_n:
-            m = min(chunk, paths_per_n - done)
-            b, a = _draw(model, rng, m * n)
-            b = np.asarray(b).reshape(m, n)
-            a = np.asarray(a).reshape(m, n)
-            bn = b.sum(axis=1)
-            sn = bn - a.sum(axis=1)
-            w = (sn < 0.0) + 0.5 * (sn == 0.0)
-            vals = w * np.exp(-s1 * bn - s2 * sn)
-            total += complex(vals.sum())
-            total_sq += float(np.sum(np.abs(vals) ** 2))
-            done += m
-        mean, std_err = _mc_moments(total, total_sq, paths_per_n)
-        coef = z ** n / n
-        acc += coef * mean
-        noise += abs(coef) * std_err
-    az = abs(z)
-    tail = az ** (n_max + 1) / ((n_max + 1) * (1.0 - az))
+    ns = np.arange(1, n_max + 1)
+    coef = z ** ns / ns
+
+    def scores():
+        for B, S in _path_blocks(model, n_max, paths_per_n, seed):
+            w = (S < 0.0) + 0.5 * (S == 0.0)
+            yield (w * np.exp(-s1 * B - s2 * S)) @ coef
+
+    acc, noise = _block_moments(scores(), paths_per_n) if n_max else (0j, 0.0)
     damp = abs(np.exp(-acc))
-    return TransformValue(1.0 - np.exp(-acc), damp * (noise + tail), "series")
+    return TransformValue(1.0 - np.exp(-acc),
+                          damp * (noise + _series_tail(abs(z), n_max)), "series")
 
 
 def max_n_estimate(model: IncrementModel, n: int, s: complex, paths: int,
@@ -264,22 +291,10 @@ def max_n_estimate(model: IncrementModel, n: int, s: complex, paths: int,
         raise ValueError("need n >= 0 and paths >= 1")
     if n == 0 or s == 0:
         return MCEstimate(1.0 + 0j, 0.0, paths, n, 0.0)
-    total, total_sq = 0j, 0.0
-    done = 0
-    block = 0
-    chunk = max(1, min(_BLOCK, 4_000_000 // n))
-    while done < paths:
-        m = min(chunk, paths - done)
-        rng = _stream(seed, block)
-        b, a = _draw(model, rng, m * n)
-        steps = np.asarray(b).reshape(m, n) - np.asarray(a).reshape(m, n)
-        peaks = np.maximum(np.max(np.cumsum(steps, axis=1), axis=1), 0.0)
-        vals = np.exp(-s * peaks)
-        total += complex(vals.sum())
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += m
-        block += 1
-    mean, std_err = _mc_moments(total, total_sq, paths)
+    mean, std_err = _block_moments(
+        (np.exp(-s * np.maximum(np.max(S, axis=1), 0.0))
+         for _, S in _path_blocks(model, n, paths, seed)),
+        paths)
     return MCEstimate(mean, std_err, paths, n, 0.0)
 
 

@@ -318,6 +318,20 @@ def test_verify_hewitt_flags_bad_truncation(tmp_path):
     assert run(["verify-hewitt", "--count", "1", "--seed", "1", "--T", "8"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--z", "0.5", "--s", "0.5", "--T", "5"],
+    ["roots", "--z", "0.5", "--s", "0.5", "--seed", "1"],
+    ["invert", "--z", "1", "--t", "1.0", "--seed", "1"],
+    ["simulate", "max-n", "--n", "5", "--tol", "1e-3"],
+    ["eval", "busy", "--grid", "default"],
+    ["verify-hewitt", "--count", "1"],
+])
+def test_unread_options_rejected(mm1_file, argv, capsys):
+    # each command accepts only the options it reads
+    assert run(argv + ["--model", mm1_file]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_random_atomic_measure_is_normalized():
     for seed in range(12):
         rng = np.random.Generator(np.random.Philox(key=seed))

@@ -14,7 +14,13 @@ from walkfluct.contour import (
     pv_axis,
     pv_axis_singular,
 )
-from walkfluct.errors import BranchCutHit, DomainError, HoelderSuspect, NoConvergence
+from walkfluct.errors import (
+    BranchCutHit,
+    DomainError,
+    EvalError,
+    HoelderSuspect,
+    NoConvergence,
+)
 
 LAM, MU = 1.0, 2.0
 TWO_PI_I = 2j * math.pi
@@ -128,6 +134,13 @@ def test_singular_requires_axis_point(spec):
     with pytest.raises(DomainError):
         pv_axis_singular(lambda xi: np.ones_like(xi), 0.5, spec,
                          phi_at_infinity=1.0)
+
+
+def test_scalar_only_density_rejected(spec):
+    # densities are evaluated on whole arrays; one that only takes scalars is
+    # an evaluation error, not a cue to switch to point-by-point calls
+    with pytest.raises(EvalError):
+        pv_axis(lambda xi: 1.0 / (complex(xi) + 1.0), spec, asymptotic_coeff=1.0)
 
 
 def test_no_convergence_on_hopeless_resolution():

@@ -163,11 +163,6 @@ def test_stability_classification(mm1):
     assert crit.stability == "critical"
 
 
-def test_unknown_contour_convention_rejected(models):
-    with pytest.raises(ValueError):
-        walk_functionals(models["product_mm1"], {"contour": "nearest_branch"})
-
-
 def test_rational_engine_needs_kernel():
     bare = IncrementModel(kind="rational_custom", lst=lambda s1, s2: 1.0,
                           sampler=None, mean_b=1.0, mean_a=2.0)

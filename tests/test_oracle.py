@@ -157,6 +157,22 @@ def test_spitzer_tail_enters_error(mm1):
     assert sv.abs_err > 0.1 * tail
 
 
+@pytest.mark.parametrize("functional, z, s", [
+    ("busy", 0.5, 0.5),
+    ("busy", 0.4 + 0.3j, 1.0 + 0.5j),
+    ("idle", 0.7, 1.0),
+    ("idle", 0.3 - 0.5j, 0.5 - 0.2j),
+])
+def test_spitzer_series_reproducible_and_covered(mm1, mm1_refs, functional, z, s):
+    s1, s2 = (s, 0.0) if functional == "busy" else (0.0, -s)
+    ref = getattr(mm1_refs, functional)(z, s)
+    for seed in (1, 2, 3, 4):
+        sv = spitzer_series(mm1.model, z, s1, s2, n_max=40, paths_per_n=4_000, seed=seed)
+        again = spitzer_series(mm1.model, z, s1, s2, n_max=40, paths_per_n=4_000, seed=seed)
+        assert (again.value, again.abs_err) == (sv.value, sv.abs_err)
+        assert abs(sv.value - ref) < 4.0 * sv.abs_err, seed
+
+
 # ------------------------------------------------------------ running maximum
 
 
