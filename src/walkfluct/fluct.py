@@ -230,8 +230,11 @@ def _root_product(roots: Sequence[complex], shift: complex) -> complex:
     return out
 
 
-def _rational_value(value: complex) -> TransformValue:
-    return TransformValue(value, 1e-12 * (1.0 + abs(value)), "rational")
+def _rational_value(value: complex, part: complex, log_err: float) -> TransformValue:
+    # part is the root-product term of value; log_err bounds |log| of its
+    # relative error from roots reported for clusters (RootReport.product_err)
+    return TransformValue(value, 1e-12 * (1.0 + abs(value)) + abs(part) * math.expm1(log_err),
+                          "rational")
 
 
 def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:
@@ -243,7 +246,8 @@ def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> Transfo
     shifted = find_kernel_roots(kernel, z, s, stable_drift=drift)
     ratio = _root_product(base.roots, s) / _root_product(shifted.roots, s)
     front = 1.0 - z * complex(lst_eval(wf.model, s, 0.0))
-    return _rational_value(1.0 - front * ratio)
+    return _rational_value(1.0 - front * ratio, front * ratio,
+                           base.product_err(s) + shifted.product_err(s))
 
 
 def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:
@@ -257,7 +261,8 @@ def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> Trans
     shifted = find_kernel_roots(kernel, z, 0.0, stable_drift=drift)
     value = (_root_product(shifted.roots, 0.0) / _root_product(base.roots, 0.0)) \
         * (_root_product(base.roots, s) / _root_product(shifted.roots, s))
-    return _rational_value(value)
+    log_err = sum(rep.product_err(w) for rep in (base, shifted) for w in (0.0, s))
+    return _rational_value(value, value, log_err)
 
 
 def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
@@ -269,7 +274,8 @@ def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
     base = find_kernel_roots(kernel, 0.0, 0.0)
     shifted = find_kernel_roots(kernel, z, 0.0)
     ratio = _root_product(base.roots, 0.0) / _root_product(shifted.roots, 0.0)
-    return _rational_value(1.0 - (1.0 - z) * ratio)
+    return _rational_value(1.0 - (1.0 - z) * ratio, (1.0 - z) * ratio,
+                           base.product_err(0.0) + shifted.product_err(0.0))
 
 
 # --- limits and inversion --------------------------------------------------

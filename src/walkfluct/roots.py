@@ -3,13 +3,23 @@
 The counting contour is the segment Re xi = -eps closed by a left arc,
 traversed counterclockwise; its winding number equals the number of enclosed
 zeros.  Kernels that clear to a polynomial get their roots from a companion
-solve; the rest go through quadtree subdivision driven by rectangle winding
-numbers.  Either way the count is certified independently by the argument
-principle on the uncleared kernel and the roots by their residuals.
+solve.  The rest go through a contour-moment locator (Delves & Lyness 1967,
+Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727): count the N
+zeros inside an enclosing rectangle, integrate their power sums
+(1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on adaptive Gauss-Legendre
+panels, solve for them through Newton's identities and polish them.  Each
+root, or group of near roots, is then checked on a disc of its own.  A disc
+holding several zeros reports the roots of its own power sums, which stay
+accurate for numerically coincident zeros, and keeps its moments so that
+callers can bound the error in root products.  The locator spends at most
+_LOCATE_BUDGET kernel evaluations.  Either way the count is certified
+independently by the argument principle on the uncleared kernel and the
+roots by their residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +28,7 @@ import numpy as np
 from .contour import _eval_density
 from .errors import (
     CountMismatch,
+    NoConvergence,
     NonIntegerWinding,
     PreconditionViolated,
     ZeroOnContour,
@@ -38,6 +49,7 @@ class RootReport:
     count_argument_principle: int
     contour_radius: float
     contour_offset_eps: float
+    clusters: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.roots) != self.count_argument_principle:
@@ -49,6 +61,11 @@ class RootReport:
         for r in self.roots:
             if not r.real < -self.contour_offset_eps / 2:
                 raise ValueError(f"root {r:.6g} is not safely inside the left half-plane")
+
+    def product_err(self, shift: complex) -> float:
+        """Bound on |log| of the relative error of prod(shift - root) that the
+        clusters' reported roots cause; 0 when there are none."""
+        return sum(c.product_err(shift) for c in self.clusters)
 
 
 class _BudgetExceeded(NonIntegerWinding):
@@ -158,8 +175,7 @@ def count_left_zeros(F, radius: float, eps: float) -> int:
     return _verified_winding(F, to_point, n0)
 
 
-def _rect_winding(F, x0: float, x1: float, y0: float, y1: float,
-                  n0: int = 128, verify: bool = True) -> int:
+def _rect_winding(F, x0: float, x1: float, y0: float, y1: float) -> int:
     corners = np.array([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1])
 
     def to_point(ts: np.ndarray) -> np.ndarray:
@@ -169,89 +185,7 @@ def _rect_winding(F, x0: float, x1: float, y0: float, y1: float,
         start = corners[k]
         return start + frac * (corners[(k + 1) % 4] - start)
 
-    if verify:
-        return _verified_winding(F, to_point, n0)
-    return _cycle_winding(F, to_point, n0=n0)
-
-
-_SPLIT_ATTEMPTS = ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.52, 0.48))
-
-
-def _noise_floor(kernel: RationalKernel, z: complex, s: complex):
-    """Rounding-noise scale of eval_shifted: machine eps times the Horner
-    recursion run on absolute values."""
-    def floor(pts: np.ndarray) -> float:
-        pts = np.asarray(pts, dtype=complex)
-        s2 = s - pts
-        r = np.abs(pts)
-        acc2 = np.zeros(r.shape)
-        for c in kernel.h2_coeffs:
-            acc2 = acc2 * r + np.abs(np.asarray(c(s2), dtype=complex))
-        acc1 = np.zeros(r.shape)
-        for c in kernel.h1_coeffs:
-            acc1 = acc1 * r + np.abs(np.asarray(c(s2), dtype=complex))
-        return 2.3e-16 * float(np.max(acc2 + abs(z) * acc1))
-    return floor
-
-
-def _subdivide(F, x0, x1, y0, y1, count, out, floor_fn=None) -> None:
-    """Quadtree descent: push `count` root locations for this rectangle."""
-    if count == 0:
-        return
-    if math.hypot(x1 - x0, y1 - y0) < 5e-4:
-        out.extend([complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))] * count)
-        return
-    def noise_merged() -> bool:
-        # a box inside the cancellation noise of the coefficient arithmetic
-        # holds roots that are numerically coincident; the certified count at
-        # the box center is then the best answer that exists
-        if floor_fn is None:
-            return False
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        if math.hypot(x1 - x0, y1 - y0) >= 0.1 * (1.0 + math.hypot(cx, cy)):
-            return False
-        pts = np.array([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1,
-                        cx + 1j * y0, cx + 1j * y1, x0 + 1j * cy, x1 + 1j * cy,
-                        cx + 1j * cy])
-        return float(np.max(np.abs(_eval_density(F, pts)))) < \
-            floor_fn(pts) * 16.0 ** count
-
-    last_err: Exception | None = None
-    for n0 in (128, 1024, 8192):
-        for fx, fy in _SPLIT_ATTEMPTS:
-            xm = x0 + fx * (x1 - x0)
-            ym = y0 + fy * (y1 - y0)
-            quads = ((x0, xm, y0, ym), (xm, x1, y0, ym),
-                     (x0, xm, ym, y1), (xm, x1, ym, y1))
-            try:
-                counts = [_rect_winding(F, *q, n0=n0, verify=False)
-                          for q in quads]
-            except (ZeroOnContour, NonIntegerWinding) as err:
-                last_err = err  # split line grazed a zero; nudge and retry
-                continue
-            if sum(counts) != count:
-                # a zero very near a child edge can alias; denser seeds or a
-                # nudged split line both cure it
-                last_err = CountMismatch(
-                    "child rectangle counts do not add up",
-                    expected=count, found=sum(counts))
-                continue
-            found: list[complex] = []
-            try:
-                for q, c in zip(quads, counts):
-                    _subdivide(F, *q, c, found, floor_fn)
-            except (CountMismatch, ZeroOnContour, NonIntegerWinding) as err:
-                # a descendant split contradicted this level's counts, so one
-                # of them aliased; denser seeds here resolve which
-                last_err = err
-                continue
-            out.extend(found)
-            return
-        if noise_merged():
-            cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            out.extend([complex(cx, cy)] * count)
-            return
-    raise last_err if last_err is not None else CountMismatch("subdivision failed")
+    return _verified_winding(F, to_point, 128)
 
 
 def _newton(F, x0: complex, tol_scale: float) -> complex:
@@ -312,38 +246,255 @@ def _shifted(kernel: RationalKernel, z: complex, s: complex):
 
 
 def _coeff_bound(kernel: RationalKernel, z: complex, s: complex) -> float:
-    # Cauchy-style magnitude bound sampled where s2 = s - xi actually lives
-    # (Re s2 >= Re s along the left contour).
+    """Fujiwara radius 2 max_k M_k^(1/k) for the zeros of the shifted kernel.
+
+    The kernel is read as a monic polynomial in xi whose k-th coefficient is
+    bounded by M_k, sampled where s2 = s - xi actually lives (Re s2 >= Re s
+    along the left contour); the caller confirms the radius by counting.
+    """
     probes = s + np.array([0.01, 1.0, 5.0, 20.0, 100.0,
                            0.01 + 3j, 0.01 - 3j, 1.0 + 10j, 1.0 - 10j])
-    worst = 0.0
-    for c in kernel.h2_coeffs[1:]:
-        worst = max(worst, float(np.max(np.abs(np.asarray(c(probes), dtype=complex)))))
-    for c in kernel.h1_coeffs:
-        worst = max(worst, abs(z) * float(np.max(np.abs(np.asarray(c(probes), dtype=complex)))))
-    return worst
+
+    def peak(c) -> float:
+        return float(np.max(np.abs(np.asarray(c(probes), dtype=complex))))
+
+    lead = kernel.degree + 1 - len(kernel.h1_coeffs)  # power offset of h1
+    radius = 0.0
+    for k in range(1, kernel.degree + 1):
+        m = peak(kernel.h2_coeffs[k])
+        if k >= lead:
+            m += abs(z) * peak(kernel.h1_coeffs[k - lead])
+        radius = max(radius, m ** (1.0 / k))
+    return 2.0 * radius
 
 
-def _locate_approx(kernel: RationalKernel, z: complex, s: complex) -> list[complex]:
-    if kernel.clear_fn is not None:
-        poly = _trim_poly(kernel.clear(z, s))
-        roots = np.roots(poly) if len(poly) > 1 else np.array([])
-        return [complex(r) for r in roots if r.real < -_AXIS_TOL]
-    F = _shifted(kernel, z, s)
-    R = 2.0 * (1.0 + _coeff_bound(kernel, z, s))
-    total = None
+# --- contour-moment locator --------------------------------------------------
+
+_LOCATE_BUDGET = 60_000  # kernel evaluations one contour-moment location may spend
+_ORDER = 24              # power sums kept per root disc
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights, and the matrix taking values
+    at the nodes to the derivative of their interpolant."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    gaps = x[:, None] - x + np.eye(16)
+    bary = 1.0 / np.prod(gaps, axis=1)
+    D = bary / bary[:, None] / gaps
+    return x, w, D - np.diag(D.sum(axis=1))  # each row of a derivative sums to 0
+
+
+class _Budget:
+    """The kernel, with every evaluation charged to one location's budget."""
+
+    def __init__(self, F) -> None:
+        self.F, self.used, self.count, self.level, self.gap = F, 0, None, 0, None
+
+    def __call__(self, xi):
+        self.used += int(np.size(xi))
+        if self.used > _LOCATE_BUDGET:
+            raise NoConvergence(
+                f"root location exceeded its budget: {self.used} of {_LOCATE_BUDGET} "
+                f"kernel evaluations, enclosing count N = {self.count}, panel level "
+                f"{self.level}, last |p_0 - N| = {self.gap}")
+        return self.F(xi)
+
+
+def _roots_from_power_sums(p: np.ndarray) -> np.ndarray:
+    """Roots of the monic polynomial whose zeros have power sums p_1..p_n."""
+    e = [1.0 + 0j]
+    for k in range(1, p.size):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    return np.roots(np.array(e) * (-1.0) ** np.arange(p.size))
+
+
+def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
+               count: int, noise: float) -> np.ndarray:
+    """Zeros in [x0, x1] x [y0, y1] from their power sums about the centre.
+
+    The moments (1/2 pi i) oint u^k F'/F dxi, k <= count, use 16-point
+    Gauss-Legendre panels with F' from each panel's interpolant.  Each side
+    starts as 8 panels; a panel is bisected until it agrees with its two
+    halves to 1e-11, or to within what an absolute error `noise` in F can
+    move it (near a zero just off the contour), and p_0 must then be within
+    1e-6 of the winding count.
+    """
+    center, scale = complex(x0 + x1, y0 + y1) / 2, abs(complex(x1 - x0, y1 - y0)) / 2
+    nodes, weights, D = _gauss_legendre()
+    spread = np.abs(D).sum(axis=1) * weights * noise  # weighted error of F' from noise
+
+    def moments(a, b):
+        xi = a[:, None] + (b - a)[:, None] * (0.5 * nodes + 0.5)
+        vals = _eval_density(F, xi)
+        if not np.all(vals):
+            raise ZeroOnContour("kernel vanishes at a moment quadrature node")
+        u = (xi - center) / scale
+        return (np.einsum("pj,pjk->pk", (vals @ D.T) / vals * weights,
+                          u[..., None] ** np.arange(count + 1)) / (2j * math.pi),
+                np.sum(spread / np.abs(vals), axis=1))
+
+    corners = np.array([x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, x0 + 1j * y0])
+    edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * np.linspace(0, 1, 9)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    (est, est_noise), total = moments(a, b), np.zeros(count + 1, dtype=complex)
+    while a.size:
+        F.level += 1
+        n, mid = a.size, 0.5 * (a + b)
+        kids, kid_noise = moments(np.r_[a, mid], np.r_[mid, b])
+        left, right = kids[:n], kids[n:]
+        tol = 1e-11 + 8.0 * (est_noise + kid_noise[:n] + kid_noise[n:])
+        ok = np.max(np.abs(left + right - est), axis=1) <= tol
+        total += (left + right)[ok].sum(axis=0)
+        a, b = np.r_[a[~ok], mid[~ok]], np.r_[mid[~ok], b[~ok]]
+        est = np.concatenate([left[~ok], right[~ok]])
+        est_noise = np.r_[kid_noise[:n][~ok], kid_noise[n:][~ok]]
+        F.gap = abs(total[0] + est[:, 0].sum() - count)
+    if F.gap > 1e-6:
+        raise CountMismatch(f"moment p_0 misses the enclosing count {count} by {F.gap:.3g}",
+                            expected=count, found=round(total[0].real))
+    return center + scale * _roots_from_power_sums(total)
+
+
+def _disc_moments(F, center: complex, radius: float, n: int) -> np.ndarray:
+    """Trapezoid sums of (1/2 pi i) oint ((xi - center)/radius)^k F'/F dxi,
+    k <= _ORDER, with F' from the spectral derivative on the circle."""
+    v = np.exp(2j * math.pi * np.arange(n) / n)
+    vals = _eval_density(F, center + radius * v)
+    if not np.all(vals):
+        raise ZeroOnContour("kernel vanishes on a root disc")
+    freq = np.fft.fftfreq(n, 1.0 / n)
+    freq[n // 2] = 0.0
+    g = np.fft.ifft(1j * freq * np.fft.fft(vals)) / vals
+    return (g @ v[:, None] ** np.arange(_ORDER + 1)) / (1j * n)
+
+
+@dataclass(frozen=True)
+class RootCluster:
+    """Zeros certified inside one disc and reported as its power-sum roots.
+
+    moments[j-1] is sum_i ((r_i - center)/radius)^j over the zeros r_i in
+    the disc and errors[j-1] its quadrature error.
+    """
+
+    center: complex
+    radius: float
+    roots: tuple
+    moments: tuple
+    errors: tuple
+
+    def product_err(self, shift: complex) -> float:
+        """Bound on |log(prod (shift - r_i) / prod (shift - reported))|.
+
+        log prod (1 - (r - center)/d) = -sum_j P_j / (j d^j) with P_j the power
+        sums about the centre; both root sets lie in the disc, which bounds
+        the terms beyond the kept order.
+        """
+        x = self.radius / abs(shift - self.center)
+        if x >= 1.0:
+            return math.inf
+        u = (np.asarray(self.roots) - self.center) / self.radius
+        body = sum((abs(q - np.sum(u ** j)) + e) * x ** j / j
+                   for j, (q, e) in enumerate(zip(self.moments, self.errors), start=1))
+        return body + 2 * len(u) * x ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - x))
+
+
+def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tuple]:
+    """Check every polished root, or group of near roots, on a disc of its own.
+
+    Roots within 1e-3 (1 + |r|) of each other form a group.  Its disc, about
+    the group mean and clear of the axis and of the other roots, must hold an
+    integer number m of zeros at 64 and at 128 trapezoid nodes; a disc that
+    does not is in rounding noise, and its group joins the nearest one.
+    A disc whose m zeros are not its one polished root reports the roots of
+    its own power sums, polished only when m = 1: polishing numerically
+    coincident roots one by one would scatter them through the noise.
+    """
+    groups: list[list[complex]] = []
+    for r in roots:
+        near = [g for g in groups if any(abs(r - q) <= 1e-3 * (1.0 + abs(r)) for q in g)]
+        groups = [g for g in groups if g not in near] + [[r] + [q for g in near for q in g]]
+    while True:
+        discs = []
+        for g in groups:
+            c0 = complex(np.mean(g))
+            gap = min((abs(r - c0) for r in roots if r not in g), default=math.inf)
+            radius = min(-c0.real / 4.0, gap / 3.0)
+            coarse, fine = (_disc_moments(F, c0, radius, n) for n in (64, 128))
+            m = round(fine[0].real)
+            if max(abs(coarse[0] - m), abs(fine[0] - m)) > 1e-6:
+                break
+            discs.append((g, c0, radius, m, coarse, fine))
+        else:
+            break
+        if len(groups) == 1:
+            raise NoConvergence(f"the disc about {c0:.8g} gives no integer zero count: "
+                                f"p_0 = {fine[0]:.6g}")
+        # a disc in rounding noise: widen it by joining the nearest group
+        near = min((h for h in groups if h is not g),
+                   key=lambda h: min(abs(r - c0) for r in h))
+        groups = [h for h in groups if h is not g and h is not near] + [g + near]
+    out: list[complex] = []
+    clusters = []
+    for g, c0, radius, m, coarse, fine in discs:
+        if m == 1:
+            out.append(g[0] if len(g) == 1 else _newton(F, c0 + radius * fine[1], scale))
+        elif m > 1:
+            local = tuple(c0 + radius * _roots_from_power_sums(fine[:m + 1]))
+            if max(abs(r - c0) for r in local) >= radius:
+                raise CountMismatch(f"power-sum roots leave the disc about {c0:.8g}",
+                                    expected=m, found=0)
+            err = 2.0 * np.abs(fine - coarse) + 1e-13  # the level gap, doubled
+            clusters.append(RootCluster(c0, radius, local, tuple(fine[1:]), tuple(err[1:])))
+            out.extend(local)
+    if len(out) != count:
+        raise CountMismatch(f"root discs hold {len(out)} zeros, the rectangle {count}",
+                            expected=count, found=len(out))
+    return out, tuple(clusters)
+
+
+def _moment_roots(F, kernel: RationalKernel, z: complex, s: complex,
+                  scale: float) -> tuple[list[complex], tuple]:
+    """Left zeros of a kernel that does not clear to a polynomial.
+
+    Count the N zeros inside an enclosing rectangle, solve for them from
+    their power sums, first on the rectangle and then on a box three times
+    their spread, polish them and check them disc by disc, all on one budget.
+    """
+    F = _Budget(F)
+    R = max(_coeff_bound(kernel, z, s), 1.0)
     for _ in range(6):
         inner = _rect_winding(F, -R, -1e-6, -R, R)
         outer = _rect_winding(F, -2 * R, -1e-6, -2 * R, 2 * R)
         if inner == outer:
-            total = inner
             break
         R *= 2.0
-    if total is None:
+    else:
         raise CountMismatch("enclosing rectangle count failed to stabilize")
-    out: list[complex] = []
-    _subdivide(F, -R, -1e-6, -R, R, total, out, _noise_floor(kernel, z, s))
-    return out
+    F.count = inner
+    if inner == 0:
+        return [], ()
+    noise = 1e-15 * scale  # rounding in F, as _newton reads it
+    approx = _box_roots(F, -R, -1e-6, -R, R, inner, noise)
+    w = max(np.ptp(approx.real), np.ptp(approx.imag), 0.25 * (1.0 + np.abs(approx).max()))
+    try:
+        approx = _box_roots(F, approx.real.min() - w, min(approx.real.max() + w, -1e-6),
+                            approx.imag.min() - w, approx.imag.max() + w, inner, noise)
+    except (CountMismatch, ZeroOnContour):
+        pass  # a zero lies outside the smaller box: keep the first estimates
+    polished = [_newton(F, r, scale) for r in approx]
+    return _settle(F, [r for r in polished if r.real < -_AXIS_TOL], inner, scale)
+
+
+def _locate(F, kernel: RationalKernel, z: complex, s: complex,
+            scale: float) -> tuple[list[complex], tuple]:
+    """Polished left zeros of F and the clusters among them."""
+    if kernel.clear_fn is None:
+        return _moment_roots(F, kernel, z, s, scale)
+    poly = _trim_poly(kernel.clear(z, s))
+    roots = np.roots(poly) if len(poly) > 1 else np.array([])
+    refined = [_newton(F, complex(r), scale) for r in roots if r.real < -_AXIS_TOL]
+    return [r for r in refined if r.real < -_AXIS_TOL], ()
 
 
 def _contour_params(roots) -> tuple[float, float]:
@@ -378,10 +529,8 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     z, s = complex(z), complex(s)
     _check_count_domain(z, s, stable_drift)
     F = _shifted(kernel, z, s)
-    approx = _locate_approx(kernel, z, s)
     scale = max(1.0, abs(complex(F(0.0))))
-    refined = [_newton(F, r, scale) for r in approx]
-    refined = [r for r in refined if r.real < -_AXIS_TOL]
+    refined, clusters = _locate(F, kernel, z, s, scale)
     refined.sort(key=lambda r: (r.real, r.imag))
     eps, radius = _contour_params(refined)
     n_ap, radius = _stable_count(F, radius, eps)
@@ -397,7 +546,8 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
             found=len(refined) - len(bad))
     return RootReport(roots=tuple(refined), residuals=residuals,
                       count_argument_principle=n_ap,
-                      contour_radius=radius, contour_offset_eps=eps)
+                      contour_radius=radius, contour_offset_eps=eps,
+                      clusters=clusters)
 
 
 def verify_rouche(kernel: RationalKernel, z: complex, s: complex,
@@ -408,6 +558,7 @@ def verify_rouche(kernel: RationalKernel, z: complex, s: complex,
     counts = []
     for zz in (0.0, z):
         F = _shifted(kernel, zz, s)
-        eps, radius = _contour_params(_locate_approx(kernel, zz, s))
+        scale = max(1.0, abs(complex(F(0.0))))
+        eps, radius = _contour_params(_locate(F, kernel, zz, s, scale)[0])
         counts.append(_stable_count(F, radius, eps)[0])
     return counts[0], counts[1], counts[0] == counts[1]

@@ -1,16 +1,23 @@
 """Left-half-plane zero counting and kernel root certification."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from walkfluct.contour import ContourSpec
 from walkfluct.errors import (
+    CountMismatch,
+    NoConvergence,
     NonIntegerWinding,
     PreconditionViolated,
+    WalkfluctError,
     ZeroOnContour,
 )
+from walkfluct.fluct import busy_period_rational, busy_period_transform, walk_functionals
 from walkfluct.model import (
+    Deterministic,
     Erlang,
     Exponential,
     Hyperexponential,
@@ -180,3 +187,62 @@ def test_random_kernels_count_equals_degree():
             f"trial {trial}: {mdl.label or mdl.kind} at z={z:.3f}, s={s:.3f}")
         assert max(rep.residuals) < 1e-8 * max(
             1.0, abs(complex(mdl.rational.eval_shifted(0.0, z, s))))
+
+
+def test_erlang_det_busy_returns_promptly():
+    # the base kernel at z = 0 has a 4-fold root at -8; a locator without a
+    # work bound never returned here
+    wf = walk_functionals(build_product_model(Erlang(4, 8.0), Deterministic(1.0)))
+    t0 = time.monotonic()
+    try:
+        rt = busy_period_rational(wf, 0.3, 0.5)
+    except WalkfluctError:
+        rt = None
+    assert time.monotonic() - t0 < 5.0
+    if rt is not None:
+        ct = busy_period_transform(wf, 0.3, 0.5, ContourSpec())
+        assert abs(rt.value - ct.value) <= 4.0 * (rt.abs_err + ct.abs_err)
+
+
+def test_zero_just_off_the_locator_contour(models):
+    # at z = 1, s = 0 the kernel vanishes at xi = 0, 1e-6 from the right edge
+    # of the moment contour, where rounding noise in F limits every panel
+    ker = models["threshold_exp"].rational
+    t0 = time.monotonic()
+    rep = find_kernel_roots(ker, 1.0, 0.0, stable_drift=True)
+    assert time.monotonic() - t0 < 2.0
+    assert rep.count_argument_principle == ker.degree
+    assert max(rep.residuals) < 1e-8
+
+
+def test_locator_budget_exhaustion_raises(models, monkeypatch):
+    monkeypatch.setattr("walkfluct.roots._LOCATE_BUDGET", 10)
+    t0 = time.monotonic()
+    with pytest.raises((NoConvergence, CountMismatch)) as info:
+        find_kernel_roots(models["threshold_exp"].rational, 0.5, 0.7)
+    assert time.monotonic() - t0 < 1.0
+    # the message carries what is needed to explain the failure afterwards
+    for part in ("kernel evaluations", "enclosing count N", "panel level", "|p_0 - N|"):
+        assert part in str(info.value)
+
+
+def test_repeated_roots_come_back_with_multiplicity():
+    # at z = 0 the kernel is the Erlang(3) denominator: a 3-fold root at -2.5
+    ker = build_product_model(Erlang(3, 2.5), Uniform(0.3, 1.5)).rational
+    rep = find_kernel_roots(ker, 0.0, 0.6)
+    assert len(rep.roots) == 3
+    assert rep.count_argument_principle == ker.degree
+    for r in rep.roots:
+        assert abs(r + 2.5) < 1e-3
+    assert rep.product_err(0.6) < 1e-9
+
+
+def test_near_triple_roots_error_is_honest():
+    # at z = 0 the kernel has two triple roots 0.11 apart, whose discs sit in
+    # rounding noise; the busy value must still agree within its error
+    wf = walk_functionals(build_threshold_model(
+        Erlang(3, 3.04), Erlang(3, 2.93), Exponential(1.43), 1.39))
+    z, s = -0.72 + 0.29j, 1.8 + 0.23j
+    rt = busy_period_rational(wf, z, s)
+    ct = busy_period_transform(wf, z, s, ContourSpec())
+    assert abs(rt.value - ct.value) <= 4.0 * (rt.abs_err + ct.abs_err)
