@@ -16,6 +16,7 @@ continuous along each half-axis and is used as it is.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .contour import ContourSpec, TransformValue, _extrapolate, pv_axis, pv_axis_singular
 from .errors import DomainError, NoConvergence, StabilityError, UnsupportedModel
 from .model import IncrementModel, RationalKernel, increment_char, lst_eval
-from .roots import find_kernel_roots
+from .roots import RootReport, find_kernel_roots
 
 __all__ = [
     "WalkFunctionals", "walk_functionals",
@@ -223,6 +224,13 @@ def _drift_flag(wf: WalkFunctionals, z: complex, s: complex) -> bool | None:
     return None
 
 
+@functools.lru_cache(maxsize=16)
+def _static_base(kernel: RationalKernel) -> RootReport:
+    # h2 has constant coefficients (RationalKernel.static_h2), so the z = 0
+    # kernel h2(xi, s - xi) and its roots are the same at every s
+    return find_kernel_roots(kernel, 0.0, 0.0)
+
+
 def _root_product(roots: Sequence[complex], shift: complex) -> complex:
     out = 1.0 + 0j
     for r in roots:
@@ -242,7 +250,7 @@ def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> Transfo
     z, s = complex(z), complex(s)
     kernel = _kernel_of(wf)
     drift = _drift_flag(wf, z, s)
-    base = find_kernel_roots(kernel, 0.0, s)
+    base = _static_base(kernel) if kernel.static_h2 else find_kernel_roots(kernel, 0.0, s)
     shifted = find_kernel_roots(kernel, z, s, stable_drift=drift)
     ratio = _root_product(base.roots, s) / _root_product(shifted.roots, s)
     front = 1.0 - z * complex(lst_eval(wf.model, s, 0.0))

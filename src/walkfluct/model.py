@@ -343,7 +343,8 @@ class RationalKernel:
     (z, s) to the descending coefficients in xi of a polynomial proportional
     to h2(xi, s-xi) - z*h1(xi, s-xi); the clearing factor vanishes only at
     points with Re xi > 0 whenever Re s >= 0, so it leaves left-half-plane
-    zeros intact.
+    zeros intact.  static_h2 states that every h2 coefficient is a constant,
+    so that h2(xi, s-xi) is the same polynomial in xi at every s.
     """
 
     h1_coeffs: tuple
@@ -351,6 +352,7 @@ class RationalKernel:
     degree: int
     reducible_in_xi: bool
     clear_fn: Callable | None = None
+    static_h2: bool = False
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -523,7 +525,8 @@ def build_product_model(b_law: DistributionSpec, a_law: DistributionSpec,
                 return np.polysub(np.polymul(den, dg), z * np.polymul(num, ng))
 
         kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
-                                reducible_in_xi=a_rat is not None, clear_fn=clear_fn)
+                                reducible_in_xi=a_rat is not None, clear_fn=clear_fn,
+                                static_h2=True)
     return IncrementModel(
         kind="product", lst=lst, sampler=sampler,
         mean_b=b_law.mean, mean_a=a_law.mean, rational=kernel,
@@ -568,7 +571,7 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     h2 = tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
                for c in h2_poly)
     kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
-                            reducible_in_xi=False, clear_fn=None)
+                            reducible_in_xi=False, clear_fn=None, static_h2=True)
     mean_b = f1.mean * p_low + f2.mean * (1.0 - p_low)
     return IncrementModel(
         kind="threshold", lst=lst, sampler=sampler,

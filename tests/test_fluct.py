@@ -1,11 +1,13 @@
 """Walk functionals: both engines against M/M/1 closed forms, limits, inversion."""
 
+import dataclasses
 import math
 
 import pytest
 
 from walkfluct.contour import ContourSpec
 from walkfluct.errors import DomainError, StabilityError, UnsupportedModel
+import walkfluct.fluct
 from walkfluct.fluct import (
     busy_period_rational,
     busy_period_transform,
@@ -209,3 +211,29 @@ def test_busy_real_bounded_monotone(models, name):
         if prev is not None:
             assert v.real < prev
         prev = v.real
+
+
+@pytest.mark.parametrize("name", ["product_mm1", "threshold_exp"])
+def test_static_h2_base_roots_found_once(models, name, monkeypatch):
+    # h2 has constant coefficients, so the z = 0 kernel is the same at every
+    # s: its roots are found once per kernel and give the same values
+    model = models[name]
+    assert model.rational.static_h2
+    plain = dataclasses.replace(model, rational=dataclasses.replace(model.rational,
+                                                                    static_h2=False))
+    calls = []
+    real_find = walkfluct.fluct.find_kernel_roots
+
+    def counting_find(kernel, z, s, **kw):
+        calls.append(kernel.static_h2)
+        return real_find(kernel, z, s, **kw)
+
+    monkeypatch.setattr(walkfluct.fluct, "find_kernel_roots", counting_find)
+    grid = [(0.4, 0.7), (0.6 + 0.2j, 1.0 - 0.4j), (0.9, 2.5)]
+    for z, s in grid:
+        a = busy_period_rational(walk_functionals(model), z, s)
+        b = busy_period_rational(walk_functionals(plain), z, s)
+        assert abs(a.value - b.value) < 1e-13
+        assert a.abs_err == pytest.approx(b.abs_err, rel=1e-9)
+    assert calls.count(True) <= len(grid) + 1
+    assert calls.count(False) == 2 * len(grid)
