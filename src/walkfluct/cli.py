@@ -26,7 +26,7 @@ import yaml
 
 from .contour import ContourSpec, TransformValue
 from .errors import (
-    BranchCutHit, CountMismatch, DomainError, EvalError, InvalidSpec,
+    CountMismatch, DomainError, EvalError, InvalidSpec,
     NoConvergence, NonIntegerWinding, ParseError, PoleError,
     PreconditionViolated, StabilityError, UnsupportedModel, ZeroOnContour,
 )
@@ -51,7 +51,7 @@ __all__ = ["run", "main", "load_model", "emit_csv"]
 _VALIDATION_ERRORS = (DomainError, InvalidSpec, ParseError, UnsupportedModel,
                       StabilityError, PreconditionViolated, PoleError, ValueError)
 _NUMERIC_ERRORS = (NoConvergence, CountMismatch, ZeroOnContour,
-                   NonIntegerWinding, BranchCutHit, EvalError, OSError)
+                   NonIntegerWinding, EvalError, OSError)
 
 _DEFAULT_Z = (0.3, 0.5, 0.7)
 _DEFAULT_S = (0.5, 1.0, 2.0)
@@ -184,7 +184,7 @@ def _sweep(points, worker):
 
 
 def _spec_from(args) -> ContourSpec:
-    return ContourSpec(T=args.T, nodes=args.nodes, richardson_levels=2, tol=args.tol)
+    return ContourSpec(T=args.T, nodes=args.nodes, tol=args.tol)
 
 
 # --- eval ------------------------------------------------------------------
@@ -404,8 +404,7 @@ def _cmd_verify_hewitt(args) -> int:
         H = random_atomic_measure(rng)
         last = None
         for T in (args.T / 8, args.T / 4, args.T / 2, args.T):
-            spec = ContourSpec(T=T, nodes=args.nodes, richardson_levels=0,
-                               tol=args.tol)
+            spec = ContourSpec(T=T, nodes=args.nodes)
             lhs, rhs, gap = verify_hewitt_discrete(H, _DEFAULT_F, spec)
             rows.append([idx, T, lhs.real, lhs.imag, rhs.real, rhs.imag, gap])
             last = gap
@@ -430,10 +429,11 @@ def _add_common(p, model=True, seed=True):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_contour(p):
+def _add_contour(p, tol=True):
     p.add_argument("--T", type=float, default=120.0, help="truncation height")
     p.add_argument("--nodes", type=int, default=24, help="nodes per unit panel")
-    p.add_argument("--tol", type=float, default=1e-5, help="contour tolerance")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-5, help="contour tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -489,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-hewitt", help="inversion identity spot checks")
     _add_common(p, model=False)
-    _add_contour(p)
+    _add_contour(p, tol=False)
     p.add_argument("--count", type=int, default=5,
                    help="number of random measures")
     p.set_defaults(func=_cmd_verify_hewitt)

@@ -12,53 +12,46 @@ the left half-plane:
 so that ``xi -> 1/(xi - s)`` integrates to 2*pi*i for Re s < 0 and to 0 for
 Re s > 0, exactly as residue calculus over the left half-plane predicts.
 Densities decaying faster than 1/|xi| have c1 = 0 and the correction drops
-out.  ``pv_axis_singular`` handles the additional on-axis singularity of
-Cauchy densities phi(xi)/(xi - s) by the subtraction trick, and
-``boundary_values`` converts its output into the two Plemelj limits.
+out.  The limit is taken by one fixed ladder: truncations at T, 2T and 4T,
+nested so that every node is evaluated once, then 1/T-Richardson
+extrapolation.  ``pv_axis_singular`` handles the additional on-axis
+singularity of Cauchy densities phi(xi)/(xi - s) by the subtraction trick.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchCutHit,
-    DomainError,
-    EvalError,
-    HoelderSuspect,
-    NoConvergence,
-    WalkfluctError,
-)
+from .errors import DomainError, EvalError, HoelderSuspect, WalkfluctError
 
 __all__ = [
     "ContourSpec",
     "TransformValue",
     "pv_axis",
     "pv_axis_singular",
-    "boundary_values",
-    "log_branch",
 ]
 
 _METHODS = frozenset({"contour", "rational", "series", "montecarlo"})
+# truncation heights of the ladder, in units of ContourSpec.T
+_LADDER = (1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
 class ContourSpec:
     """Resolution parameters for axis quadrature.
 
-    T is the base truncation height, nodes the Gauss-Legendre count per unit
-    panel, richardson_levels the number of extra T-doublings used for
-    extrapolation in 1/T, and tol the absolute error target.
+    T is the base truncation height of the ladder T, 2T, 4T, nodes the
+    Gauss-Legendre count per unit panel, and tol the absolute error target
+    for the transform an engine returns: the engines raise NoConvergence
+    when its abs_err exceeds tol.
     """
 
     T: float = 120.0
     nodes: int = 24
-    richardson_levels: int = 2
     tol: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -68,8 +61,6 @@ class ContourSpec:
             raise ValueError("nodes must be a positive integer")
         if self.nodes * self.T < 64:
             raise ValueError("resolution guard: nodes * T >= 64 required")
-        if int(self.richardson_levels) != self.richardson_levels or self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be a nonnegative integer")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive")
 
@@ -91,40 +82,29 @@ class TransformValue:
             raise ValueError("value must be finite")
 
 
-def _panel_edges(T: float, refine_near: tuple[float, float] | None) -> np.ndarray:
-    """Panel edges on [0, T]: unit panels plus geometric refinement.
+def _panel_edges(lo: float, hi: float, refine_near: tuple[float, float] | None) -> np.ndarray:
+    """Panel edges on [lo, hi]: ceil(hi - lo) equal panels plus refinement.
 
     refine_near = (ordinate, scale) inserts edges accumulating geometrically
     toward |ordinate| down to width ~scale/16, which is what a density with a
     pole at distance ~scale from the axis needs.  Pairing folds the two
-    half-axes onto [0, T], hence the abs().
+    half-axes onto the positive one, hence the abs().
     """
-    n = max(1, math.ceil(T))
-    edges = set(np.linspace(0.0, T, n + 1).tolist())
+    n = max(1, math.ceil(hi - lo))
+    edges = set(np.linspace(lo, hi, n + 1).tolist())
     if refine_near is not None:
         y0, scale = abs(refine_near[0]), abs(refine_near[1])
-        if 0.0 < scale < 1.0 and y0 < T:
+        if 0.0 < scale < 1.0:
             pts = [y0]
             off = scale / 16.0
             while off <= 2.0:
                 pts.append(y0 - off)
                 pts.append(y0 + off)
                 off *= 2.0
-            edges.update(p for p in pts if 0.0 < p < T)
+            edges.update(p for p in pts if lo < p < hi)
     out = np.array(sorted(edges))
-    keep = np.concatenate(([True], np.diff(out) > 1e-12 * max(T, 1.0)))
+    keep = np.concatenate(([True], np.diff(out) > 1e-12 * max(hi, 1.0)))
     return out[keep]
-
-
-def _half_axis_rule(T: float, nodes: int,
-                    refine_near: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
-    edges = _panel_edges(T, refine_near)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return ys, ws
 
 
 def _eval_density(density, xi: np.ndarray) -> np.ndarray:
@@ -148,40 +128,40 @@ def _eval_density(density, xi: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _level_value(density, T: float, nodes: int,
-                 refine_near: tuple[float, float] | None,
-                 asymptotic_coeff: complex | None) -> tuple[complex, float, float]:
-    """One symmetric truncation at height T, with its 1/xi closure term.
+def _band(density, lo: float, hi: float, nodes: int,
+          refine_near: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature terms of the density on the two axis bands lo <= |Im xi| <= hi.
 
-    Returns (value, c1 spread across the outermost panel, outer-half tail
-    magnitude).  The spread is zero when the caller supplied c1 exactly.
+    The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.  Also
+    returns the outermost two panels' ordinates y and paired estimates
+    (iy*f(iy) + (-iy)*f(-iy))/2 of the 1/xi coefficient c1.
     """
-    ys, ws = _half_axis_rule(T, nodes, refine_near)
+    edges = _panel_edges(lo, hi, refine_near)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    ws = (half[:, None] * w[None, :]).ravel()
     up = _eval_density(density, 1j * ys)
     dn = _eval_density(density, -1j * ys)
-    contrib = ws * (up + dn)
-    raw = 1j * complex(np.sum(contrib))
-    tail = abs(1j * complex(np.sum(contrib[ys > 0.5 * T])))
-    if asymptotic_coeff is None:
-        # c1 = lim xi*f(xi).  The paired estimate (iy*f(iy) + (-iy)*f(-iy))/2
-        # is an even series in 1/y, so fitting {1, 1/y^2} over the outermost
-        # two panels leaves only an O(1/T^4) bias; a plain average would leak
-        # an O(1/T^2) term into the extrapolation ladder.
-        k = min(2 * nodes, len(ys))
-        yy = ys[-k:]
-        est = 0.5j * yy * (up[-k:] - dn[-k:])
-        if k >= 4:
-            basis = np.column_stack([np.ones(k), yy ** -2.0])
-            coef, *_ = np.linalg.lstsq(basis, est, rcond=None)
-            c1 = complex(coef[0])
-            spread = float(np.max(np.abs(est - basis @ coef)))
-        else:
-            c1 = complex(np.mean(est))
-            spread = float(np.max(np.abs(est - c1))) if k > 1 else abs(c1)
-    else:
-        c1 = complex(asymptotic_coeff)
-        spread = 0.0
-    return raw + 1j * math.pi * c1, spread, tail
+    k = min(2 * nodes, len(ys))
+    return ws * (up + dn), ys[-k:], 0.5j * ys[-k:] * (up[-k:] - dn[-k:])
+
+
+def _fit_c1(yy: np.ndarray, est: np.ndarray) -> tuple[complex, float]:
+    """c1 = lim xi*f(xi) from the outermost samples, with its fit spread.
+
+    The paired estimate is an even series in 1/y, so fitting {1, 1/y^2} over
+    the outermost two panels leaves only an O(1/T^4) bias; a plain average
+    would leak an O(1/T^2) term into the extrapolation ladder.
+    """
+    k = len(yy)
+    if k >= 4:
+        basis = np.column_stack([np.ones(k), yy ** -2.0])
+        coef, *_ = np.linalg.lstsq(basis, est, rcond=None)
+        return complex(coef[0]), float(np.max(np.abs(est - basis @ coef)))
+    c1 = complex(np.mean(est))
+    return c1, float(np.max(np.abs(est - c1))) if k > 1 else abs(c1)
 
 
 def _neville_table(hs, vals):
@@ -214,31 +194,33 @@ def pv_axis(density, spec: ContourSpec, *,
             refine_near: tuple[float, float] | None = None) -> TransformValue:
     """Limit of symmetric truncations of the axis integral, closed at infinity.
 
-    asymptotic_coeff fixes c1 = lim xi*density(xi) exactly when the caller
-    knows it (0 for any density decaying faster than 1/|xi|); pass None to
-    estimate it from the outermost quadrature panel.  refine_near subdivides
-    panels geometrically around an ordinate where the density peaks.
+    The truncations at heights T, 2T and 4T share their nodes: each adds one
+    band [lo, hi] to the one below it, and their 1/T-Richardson limit is the
+    value.  abs_err is the extrapolation spread plus pi times the spread of
+    the outermost c1 fit; the caller gates it against spec.tol on the
+    quantity it returns.  asymptotic_coeff fixes c1 = lim xi*density(xi)
+    exactly when the caller knows it (0 for any density decaying faster than
+    1/|xi|); pass None to estimate it from the outermost panels of each band.
+    refine_near subdivides panels geometrically around an ordinate where the
+    density peaks.
     """
-    n_levels = spec.richardson_levels + 1
-    heights = [spec.T * (2.0 ** k) for k in range(n_levels)]
-    vals, spreads, tails = [], [], []
-    for T in heights:
-        v, spread, tail = _level_value(density, T, spec.nodes, refine_near, asymptotic_coeff)
+    heights = [spec.T * k for k in _LADDER]
+    terms, vals, spread = [], [], 0.0
+    for lo, hi in zip([0.0] + heights[:-1], heights):
+        band, yy, est = _band(density, lo, hi, spec.nodes, refine_near)
+        terms.append(band)
+        # one sum over all of [0, hi] rounds exactly as a single truncation would
+        raw = 1j * complex(np.sum(np.concatenate(terms)))
+        if asymptotic_coeff is None:
+            c1, spread = _fit_c1(yy, est)
+        else:
+            c1 = complex(asymptotic_coeff)
+        v = raw + 1j * math.pi * c1
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise EvalError(f"truncated integral at T = {T:g} is not finite")
+            raise EvalError(f"truncated integral at T = {hi:g} is not finite")
         vals.append(v)
-        spreads.append(spread)
-        tails.append(tail)
-    if n_levels == 1:
-        value, err = vals[0], tails[0]
-    else:
-        value, err = _extrapolate([1.0 / T for T in heights], vals)
-    err += math.pi * spreads[-1]
-    err = max(err, 1e-15 * (1.0 + abs(value)))
-    if err > spec.tol:
-        raise NoConvergence(
-            f"truncation levels disagree: abs_err {err:.3g} exceeds tol {spec.tol:g}",
-            best=value, abs_err=err)
+    value, err = _extrapolate([1.0 / T for T in heights], vals)
+    err = max(err + math.pi * spread, 1e-15 * (1.0 + abs(value)))
     return TransformValue(value=value, abs_err=err, method="contour")
 
 
@@ -269,7 +251,9 @@ def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
     (phi(xi) - phi(s))/(xi - s), whose own 1/xi coefficient is
     phi_at_infinity - phi(s); suppliers of phi that does not vanish at i*inf
     must pass its limit.  Warns HoelderSuspect when a finite-difference probe
-    suggests phi is too rough at s for the value to mean much.
+    suggests phi is too rough at s for the value to mean much.  Divided by
+    2*pi*i, the value is the exterior (right half-plane) Plemelj limit of the
+    Cauchy transform of phi at s; the interior limit exceeds it by phi(s).
     """
     s = complex(s)
     if abs(s.real) > 1e-9 * (1.0 + abs(s)):
@@ -286,39 +270,3 @@ def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
     return pv_axis(density, spec,
                    asymptotic_coeff=complex(phi_at_infinity) - phi_s,
                    refine_near=refine_near)
-
-
-def boundary_values(Phi_pv: complex, phi_at_s: complex) -> tuple[complex, complex]:
-    """Plemelj limits (interior, exterior) of a Cauchy transform on the axis.
-
-    Phi_pv is the principal value carrying the 1/(2*pi*i) prefactor; the
-    interior (left half-plane) limit exceeds it by the full density value and
-    the exterior limit equals it.
-    """
-    return (complex(Phi_pv) + complex(phi_at_s), complex(Phi_pv))
-
-
-_CUT_ROT = cmath.exp(-0.25j * math.pi)
-
-
-def log_branch(w: complex, mode: str = "principal") -> complex:
-    """Single-valued logarithm on a declared cut plane.
-
-    principal: cut along the negative real axis, Im log in (-pi, pi].
-    negative_halfplane_cut: cut along the ray arg w = -3*pi/4, so the whole
-    right half-plane and both imaginary half-axes sit in one sheet with
-    Im log in (-3*pi/4, 5*pi/4].
-    """
-    w = complex(w)
-    if w == 0:
-        raise BranchCutHit("log of zero")
-    if mode == "principal":
-        if w.imag == 0.0 and w.real < 0.0:
-            raise BranchCutHit("argument on the negative real axis cut")
-        return cmath.log(w)
-    if mode == "negative_halfplane_cut":
-        u = w * _CUT_ROT
-        if u.real < 0.0 and abs(u.imag) <= 1e-13 * abs(u.real):
-            raise BranchCutHit("argument on the cut ray arg w = -3*pi/4")
-        return cmath.log(u) + 0.25j * math.pi
-    raise ValueError(f"unknown branch mode {mode!r}")

@@ -37,10 +37,6 @@ class EvalError(WalkfluctError):
     """Density evaluation failed at a quadrature node."""
 
 
-class BranchCutHit(WalkfluctError):
-    """Logarithm argument fell on the selected branch cut."""
-
-
 class ZeroOnContour(WalkfluctError):
     """Winding-number contour passes through (or too near) a zero."""
 

@@ -96,6 +96,21 @@ def _pole_refinement(s: complex) -> tuple[float, float]:
     return (s.imag, max(abs(s.real), 1e-3))
 
 
+def _contour_value(value: complex, abs_err: float, spec: ContourSpec,
+                   scale: float = 1.0) -> TransformValue:
+    """The returned quantity, or NoConvergence when scale * abs_err exceeds tol.
+
+    scale normalises a quantity that grows without bound, such as the
+    running-maximum generating function near z = 1.
+    """
+    if scale * abs_err > spec.tol:
+        raise NoConvergence(
+            f"contour ladder did not settle: error {scale * abs_err:.3g}"
+            f" exceeds tol {spec.tol:g}",
+            best=value, abs_err=abs_err)
+    return TransformValue(value, abs_err, "contour")
+
+
 def busy_period_transform(wf: WalkFunctionals, z: complex, s: complex,
                           spec: ContourSpec) -> TransformValue:
     """Joint transform E[z^N e^{-sP}] of the descent count and its b-total.
@@ -116,7 +131,7 @@ def busy_period_transform(wf: WalkFunctionals, z: complex, s: complex,
     pv = pv_axis(density, spec, asymptotic_coeff=0.0, refine_near=_pole_refinement(s))
     j_b = pv.value / _TWO_PI_I
     front = (1.0 - z * complex(lst_eval(model, s, 0.0))) * cmath.exp(-j_b)
-    return TransformValue(1.0 - front, abs(front) * pv.abs_err / _TWO_PI, "contour")
+    return _contour_value(1.0 - front, abs(front) * pv.abs_err / _TWO_PI, spec)
 
 
 def idle_period_transform(wf: WalkFunctionals, z: complex, s: complex,
@@ -135,12 +150,12 @@ def idle_period_transform(wf: WalkFunctionals, z: complex, s: complex,
     pv = pv_axis(density, spec, asymptotic_coeff=0.0,
                  refine_near=(-s.imag, max(abs(s.real), 1e-3)))
     expo = cmath.exp(pv.value / _TWO_PI_I)
-    return TransformValue(1.0 - expo, abs(expo) * pv.abs_err / _TWO_PI, "contour")
+    return _contour_value(1.0 - expo, abs(expo) * pv.abs_err / _TWO_PI, spec)
 
 
-def _steps_exponent(wf: WalkFunctionals, z: complex,
-                    spec: ContourSpec) -> tuple[complex, float]:
-    pv = pv_axis_singular(_phi1(wf, z), 0.0, spec, phi_at_infinity=0.0)
+def _axis_exponent(phi, s: complex, spec: ContourSpec) -> tuple[complex, float]:
+    """(1/2 pi i) times the axis principal value of phi(xi)/(xi - s), Re s = 0."""
+    pv = pv_axis_singular(phi, s, spec, phi_at_infinity=0.0)
     return pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI
 
 
@@ -150,9 +165,9 @@ def steps_pgf(wf: WalkFunctionals, z: complex, spec: ContourSpec) -> TransformVa
     _check_interior(z, None)
     if z == 0:
         return TransformValue(0j, 0.0, "contour")
-    j_n, j_err = _steps_exponent(wf, z, spec)
+    j_n, j_err = _axis_exponent(_phi1(wf, z), 0.0, spec)
     tail = (1.0 - z) * cmath.exp(j_n)
-    return TransformValue(1.0 - tail, abs(tail) * j_err, "contour")
+    return _contour_value(1.0 - tail, abs(tail) * j_err, spec)
 
 
 def transient_max_transform(wf: WalkFunctionals, z: complex, s: complex,
@@ -170,10 +185,11 @@ def transient_max_transform(wf: WalkFunctionals, z: complex, s: complex,
 
     pv = pv_axis(density, spec, asymptotic_coeff=0.0, refine_near=_pole_refinement(s))
     w_val = pv.value / _TWO_PI_I
-    j_n, j_err = _steps_exponent(wf, z, spec)
+    j_n, j_err = _axis_exponent(phi, 0.0, spec)
     value = cmath.exp(w_val - j_n) / (1.0 - z)
     err = abs(value) * (pv.abs_err / _TWO_PI + j_err)
-    return TransformValue(value, err, "contour")
+    # value grows like 1/(1 - z); tol applies to (1 - z) * value
+    return _contour_value(value, err, spec, abs(1.0 - z))
 
 
 def wienerhopf_factors(wf: WalkFunctionals, z: complex, s: complex,
@@ -198,9 +214,9 @@ def wienerhopf_factors(wf: WalkFunctionals, z: complex, s: complex,
         return 1.0 + 0j, 1.0 + 0j, 0.0
     phi = _phi1(wf, z)
     alt = ContourSpec(T=spec.T * 1.5, nodes=spec.nodes + max(1, spec.nodes // 3),
-                      richardson_levels=spec.richardson_levels, tol=spec.tol)
-    q_main = pv_axis_singular(phi, s, spec, phi_at_infinity=0.0).value / _TWO_PI_I
-    q_alt = pv_axis_singular(phi, s, alt, phi_at_infinity=0.0).value / _TWO_PI_I
+                      tol=spec.tol)
+    q_main, q_alt = (_contour_value(*_axis_exponent(phi, s, sp), spec).value
+                     for sp in (spec, alt))
     psi_plus = cmath.exp(-q_main)
     psi_minus = kernel_val * cmath.exp(q_alt)
     residual = abs(psi_minus * psi_plus - kernel_val)

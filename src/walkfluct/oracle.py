@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import ContourSpec, TransformValue, _level_value
+from .contour import ContourSpec, TransformValue, _band
 from .errors import DomainError, NoConvergence, UnsupportedModel
 from .model import IncrementModel, _em
 
@@ -306,7 +306,7 @@ def verify_hewitt_discrete(H: AtomicMeasure2D, f: BVFunctionSpec,
     extrapolation: the identity is a statement about the T -> infinity limit,
     so the caller studies the gap as a function of spec.T); the inner y
     integral is in closed form per atom and piece.  The right side is the
-    half-weighted boundary sum.
+    half-weighted boundary sum.  Only spec.T and spec.nodes are read.
     """
     rhs = 0j
     for u, y, w in H.atoms:
@@ -324,8 +324,8 @@ def verify_hewitt_discrete(H: AtomicMeasure2D, f: BVFunctionSpec,
             out += w * np.exp(xi * u) * f.truncated_transform(xi, y)
         return out
 
-    raw, _, _ = _level_value(inner, spec.T, spec.nodes, None, 0.0)
-    lhs = raw / _TWO_PI_I
+    terms, _, _ = _band(inner, 0.0, spec.T, spec.nodes, None)
+    lhs = 1j * complex(np.sum(terms)) / _TWO_PI_I
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NoConvergence("inversion quadrature produced a non-finite value")
     return complex(lhs), complex(rhs), abs(lhs - rhs)

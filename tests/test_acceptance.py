@@ -42,7 +42,7 @@ def test_criterion_01_busy_period_mm1(mm1):
     # z -> 1 ladder of both busy-period engines against the classical
     # busy-period transform of the Exp(2)/Exp(1) walk
     t0 = time.monotonic()
-    spec = ContourSpec(T=200.0, nodes=32, richardson_levels=2)
+    spec = ContourSpec(T=200.0, nodes=32)
     for s in (0.25, 0.5, 1.0, 2.0):
         ref = (LAM + MU + s - math.sqrt((LAM + MU + s) ** 2 - 4 * LAM * MU)) / (2 * LAM)
         # nine ladder levels keep the extrapolation residue well under 1e-8
@@ -122,7 +122,7 @@ def test_criterion_06_inversion_identity_random_measures():
         product_grids += (len(H.atoms) >= 2 and len(ys) == 2
                           and len(us) * len(ys) == len(H.atoms))
         gaps = [verify_hewitt_discrete(
-                    H, f, ContourSpec(T=T, nodes=24, richardson_levels=0))[2]
+                    H, f, ContourSpec(T=T, nodes=24))[2]
                 for T in (100.0, 200.0, 400.0, 800.0)]
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 1e-3

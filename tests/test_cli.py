@@ -318,6 +318,12 @@ def test_verify_hewitt_flags_bad_truncation(tmp_path):
     assert run(["verify-hewitt", "--count", "1", "--seed", "1", "--T", "8"]) == 1
 
 
+def test_verify_hewitt_has_no_tol(capsys):
+    # verify-hewitt compares plain truncations and has no tolerance to read
+    assert run(["verify-hewitt", "--count", "1", "--tol", "1e-3"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["roots", "--z", "0.5", "--s", "0.5", "--T", "5"],
     ["roots", "--z", "0.5", "--s", "0.5", "--seed", "1"],

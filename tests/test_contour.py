@@ -1,4 +1,4 @@
-"""Axis quadrature: Cauchy trichotomy, exponent formulas, branch handling."""
+"""Axis quadrature: Cauchy trichotomy, exponent formulas, the truncation ladder."""
 
 import cmath
 import math
@@ -9,18 +9,11 @@ import pytest
 from walkfluct.contour import (
     ContourSpec,
     TransformValue,
-    boundary_values,
-    log_branch,
+    _band,
     pv_axis,
     pv_axis_singular,
 )
-from walkfluct.errors import (
-    BranchCutHit,
-    DomainError,
-    EvalError,
-    HoelderSuspect,
-    NoConvergence,
-)
+from walkfluct.errors import DomainError, EvalError, HoelderSuspect
 
 LAM, MU = 1.0, 2.0
 TWO_PI_I = 2j * math.pi
@@ -122,12 +115,26 @@ def test_reported_error_covers_truth_on_closed_forms(spec):
 
 
 def test_richardson_levels_improve_truncation():
+    # the extrapolated ladder beats the single closed [0, T] truncation
     dens = lambda xi: 1.0 / (xi - (-1.0))
-    flat = pv_axis(dens, ContourSpec(T=40.0, nodes=8, richardson_levels=0, tol=1.0),
-                   asymptotic_coeff=1.0)
-    deep = pv_axis(dens, ContourSpec(T=40.0, nodes=8, richardson_levels=2, tol=1.0),
-                   asymptotic_coeff=1.0)
-    assert abs(deep.value - TWO_PI_I) < abs(flat.value - TWO_PI_I)
+    spec = ContourSpec(T=40.0, nodes=8, tol=1.0)
+    terms, _, _ = _band(dens, 0.0, spec.T, spec.nodes, None)
+    flat = 1j * complex(np.sum(terms)) + 1j * math.pi
+    deep = pv_axis(dens, spec, asymptotic_coeff=1.0)
+    assert abs(deep.value - TWO_PI_I) < abs(flat - TWO_PI_I)
+
+
+def test_ladder_evaluates_each_node_once():
+    # the truncations at T, 2T and 4T share their nodes: 4T unit panels on
+    # each half-axis, not T + 2T + 4T
+    seen = []
+
+    def dens(xi):
+        seen.append(xi.size)
+        return 1.0 / (xi + 1.0)
+
+    pv_axis(dens, ContourSpec(T=120.0, nodes=24), asymptotic_coeff=1.0)
+    assert sum(seen) == 2 * 480 * 24 == 23_040
 
 
 def test_singular_requires_axis_point(spec):
@@ -145,11 +152,11 @@ def test_scalar_only_density_rejected(spec):
 
 def test_no_convergence_on_hopeless_resolution():
     # a pole at distance 1e-3 from the axis cannot be resolved by unit panels
-    # without refinement; the truncation ladder must refuse to certify
-    spec = ContourSpec(T=80.0, nodes=8, richardson_levels=2, tol=1e-9)
-    with pytest.raises(NoConvergence):
-        pv_axis(lambda xi: 1.0 / (xi - (-1e-3 + 30.5j)), spec,
+    # without refinement; the truncation ladder must not report it as settled
+    spec = ContourSpec(T=80.0, nodes=8, tol=1e-9)
+    v = pv_axis(lambda xi: 1.0 / (xi - (-1e-3 + 30.5j)), spec,
                 asymptotic_coeff=1.0)
+    assert v.abs_err > 1e-9
 
 
 def test_hoelder_warning_on_jump_density():
@@ -162,19 +169,15 @@ def test_hoelder_warning_on_jump_density():
         pv_axis_singular(phi, 1j, ContourSpec(tol=1.0), phi_at_infinity=1.0)
 
 
-def test_boundary_values_orientation():
-    interior, exterior = boundary_values(2.0 + 1.0j, 0.5j)
-    assert interior == 2.0 + 1.5j
-    assert exterior == 2.0 + 1.0j
-
-
 def test_boundary_values_plemelj_consistency(spec):
-    # for the Cauchy transform of phi along the axis, interior - exterior
-    # must equal phi(s); check against direct evaluation off the axis
+    # the Cauchy transform of phi along the axis has the exterior limit
+    # pv / (2 pi i) and the interior limit that plus phi(s); check both
+    # against direct evaluation off the axis
     z, s = 0.5, 0.7j
     phi = lambda xi: np.log(1 - z * _h(xi, -xi))
     pv = pv_axis_singular(phi, s, spec, phi_at_infinity=0.0)
-    interior, exterior = boundary_values(pv.value / TWO_PI_I, complex(phi(s)))
+    exterior = pv.value / TWO_PI_I
+    interior = exterior + complex(phi(s))
 
     def cauchy_at(point):
         return pv_axis(lambda xi: phi(xi) / (xi - point), spec,
@@ -187,27 +190,6 @@ def test_boundary_values_plemelj_consistency(spec):
         assert side == pytest.approx(limit, abs=2e-3)
 
 
-def test_log_branch_principal():
-    assert log_branch(1j) == pytest.approx(cmath.log(1j), abs=1e-15)
-    with pytest.raises(BranchCutHit):
-        log_branch(-1.0)
-    with pytest.raises(BranchCutHit):
-        log_branch(0.0)
-
-
-def test_log_branch_negative_halfplane_cut():
-    # the rotated cut keeps a neighborhood of the negative real axis single
-    # valued: values just above and just below -1 agree
-    above = log_branch(-1.0 + 1e-9j, "negative_halfplane_cut")
-    below = log_branch(-1.0 - 1e-9j, "negative_halfplane_cut")
-    assert abs(above - below) < 1e-8
-    assert above.imag == pytest.approx(math.pi, abs=1e-8)
-    with pytest.raises(BranchCutHit):
-        log_branch(cmath.exp(-0.75j * math.pi), "negative_halfplane_cut")
-    with pytest.raises(ValueError):
-        log_branch(1.0, "no_such_mode")
-
-
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(T=-1.0)
@@ -215,8 +197,6 @@ def test_contour_spec_validation():
         ContourSpec(nodes=0)
     with pytest.raises(ValueError):
         ContourSpec(T=2.0, nodes=4)  # resolution guard
-    with pytest.raises(ValueError):
-        ContourSpec(richardson_levels=-1)
     with pytest.raises(ValueError):
         ContourSpec(tol=0.0)
 

@@ -1,12 +1,14 @@
 """Walk functionals: both engines against M/M/1 closed forms, limits, inversion."""
 
+import cmath
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from walkfluct.contour import ContourSpec
-from walkfluct.errors import DomainError, StabilityError, UnsupportedModel
+from walkfluct.errors import DomainError, NoConvergence, StabilityError, UnsupportedModel
 import walkfluct.fluct
 from walkfluct.fluct import (
     busy_period_rational,
@@ -21,7 +23,13 @@ from walkfluct.fluct import (
     walk_functionals,
     wienerhopf_factors,
 )
-from walkfluct.model import Exponential, IncrementModel, build_product_model
+from walkfluct.model import (
+    Deterministic,
+    Exponential,
+    IncrementModel,
+    Uniform,
+    build_product_model,
+)
 
 
 def _tol(tv, floor=1e-6):
@@ -237,3 +245,60 @@ def test_static_h2_base_roots_found_once(models, name, monkeypatch):
         assert a.abs_err == pytest.approx(b.abs_err, rel=1e-9)
     assert calls.count(True) <= len(grid) + 1
     assert calls.count(False) == 2 * len(grid)
+
+
+# --- tol gates the returned transform ----------------------------------------
+
+
+def test_no_convergence_carries_the_transform(mm1, spec):
+    # the gate reads the error of the transform itself, and the exception
+    # carries that transform and its error
+    tv = busy_period_transform(mm1, 0.5, 0.5, spec)
+    tight = dataclasses.replace(spec, tol=tv.abs_err / 2)
+    with pytest.raises(NoConvergence) as info:
+        busy_period_transform(mm1, 0.5, 0.5, tight)
+    assert info.value.best == tv.value
+    assert info.value.abs_err == tv.abs_err
+
+
+def test_max_tol_scaled_by_one_minus_z(models, spec):
+    # sum_n z^n E e^{-s M_n} grows like 1/(1 - z); tol applies to
+    # (1 - z) times it, so this point returns although abs_err > tol
+    wf = walk_functionals(models["markov_2state"])
+    z = 0.93
+    tv = transient_max_transform(wf, z, 1.7, spec)
+    assert tv.abs_err > spec.tol
+    assert (1 - z) * tv.abs_err <= spec.tol
+
+
+_DET_UNIFORM = build_product_model(Deterministic(0.7), Uniform(0.2, 2.0),
+                                   label="det_uniform")
+
+
+@pytest.mark.parametrize("z,s", [(0.3, 0.5), (0.5 + 0.3j, 0.8 - 0.6j), (0.6, 3.0)])
+@pytest.mark.parametrize("functional", ["busy", "idle", "steps"])
+def test_det_uniform_contour_at_default_spec(spec, functional, z, s):
+    # the non-rational walk returns at the default spec, and its error
+    # covers the gap to a finer ladder
+    wf = walk_functionals(_DET_UNIFORM)
+    call = {"busy": lambda sp: busy_period_transform(wf, z, s, sp),
+            "idle": lambda sp: idle_period_transform(wf, z, s, sp),
+            "steps": lambda sp: steps_pgf(wf, z, sp)}[functional]
+    tv = call(spec)
+    ref = call(ContourSpec(T=480.0, nodes=32))
+    assert abs(tv.value - ref.value) <= tv.abs_err + ref.abs_err
+
+
+def test_mm1_contour_errors_are_honest(mm1, mm1_refs, spec):
+    # 40 seeded random complex (z, s) points: every functional returns a
+    # value within its reported abs_err of the closed form
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        z = 0.99 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        s = complex(0.01 + 2.99 * rng.random(), 5.0 * (2.0 * rng.random() - 1.0))
+        for tv, ref in ((busy_period_transform(mm1, z, s, spec), mm1_refs.busy(z, s)),
+                        (idle_period_transform(mm1, z, s, spec), mm1_refs.idle(z, s)),
+                        (steps_pgf(mm1, z, spec), mm1_refs.steps(z)),
+                        (transient_max_transform(mm1, z, s, spec),
+                         mm1_refs.transient_max(z, s))):
+            assert abs(tv.value - ref) <= tv.abs_err, (z, s)

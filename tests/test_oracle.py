@@ -202,7 +202,7 @@ def test_max_n_estimate_guards(mm1):
 def _gap(atoms, T):
     H = AtomicMeasure2D(atoms=atoms)
     f = BVFunctionSpec(pieces=((0.0, math.inf, 1.0, 1.0),))
-    spec = ContourSpec(T=T, nodes=24, richardson_levels=2)
+    spec = ContourSpec(T=T, nodes=24)
     lhs, rhs, gap = verify_hewitt_discrete(H, f, spec)
     return lhs, rhs, gap
 
