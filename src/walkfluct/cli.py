@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated, StabilityError, UnsupportedModel, ZeroOnContour,
 )
 from .fluct import (
-    busy_period_rational, busy_period_transform, idle_period_transform,
+    _drift_flag, busy_period_rational, busy_period_transform, idle_period_transform,
     invert_to_distribution, max_transform_rational, steps_pgf,
     steps_pgf_rational, transient_max_transform, walk_functionals,
 )
@@ -264,11 +264,8 @@ def _cmd_roots(args) -> int:
     wf = walk_functionals(model)
     if model.rational is None:
         raise UnsupportedModel("model has no rational kernel")
-    z = complex(args.z)
-    s = complex(args.s)
-    drift = True if (abs(z - 1) <= 1e-12 and s.real <= 1e-12
-                     and wf.stability == "stable") else None
-    report = find_kernel_roots(model.rational, z, s, stable_drift=drift)
+    z, s = complex(args.z), complex(args.s)
+    report = find_kernel_roots(model.rational, z, s, stable_drift=_drift_flag(wf, z, s))
     rows = [[i, r.real, r.imag, res, report.count_argument_principle,
              report.contour_radius, report.contour_offset_eps]
             for i, (r, res) in enumerate(zip(report.roots, report.residuals))]

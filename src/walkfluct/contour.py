@@ -243,8 +243,7 @@ def _hoelder_probe(phi, s: complex, phi_s: complex) -> None:
 
 
 def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
-                     phi_at_infinity: complex = 0.0,
-                     refine_near: tuple[float, float] | None = None) -> TransformValue:
+                     phi_at_infinity: complex = 0.0) -> TransformValue:
     """Doubly dashed Cauchy value of phi(xi)/(xi - s) for s on the axis.
 
     Computed through the nonsingular subtraction form
@@ -261,12 +260,10 @@ def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
     s = 1j * s.imag
     phi_s = complex(_eval_density(phi, np.array([s], dtype=complex))[0])
     _hoelder_probe(phi, s, phi_s)
-    if refine_near is None:
-        refine_near = (s.imag, 0.5)
 
     def density(xi: np.ndarray) -> np.ndarray:
         return (_eval_density(phi, xi) - phi_s) / (xi - s)
 
     return pv_axis(density, spec,
                    asymptotic_coeff=complex(phi_at_infinity) - phi_s,
-                   refine_near=refine_near)
+                   refine_near=(s.imag, 0.5))

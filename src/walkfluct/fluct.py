@@ -29,7 +29,7 @@ from .model import IncrementModel, RationalKernel, increment_char, lst_eval
 from .roots import RootReport, find_kernel_roots
 
 __all__ = [
-    "WalkFunctionals", "walk_functionals",
+    "WalkFunctionals", "walk_functionals", "first_descent_transform",
     "busy_period_transform", "idle_period_transform", "steps_pgf",
     "transient_max_transform",
     "busy_period_rational", "max_transform_rational", "steps_pgf_rational",
@@ -75,25 +75,11 @@ def _log(w: np.ndarray) -> np.ndarray:
     return np.log(np.abs(w)) + 1j * np.angle(w)
 
 
-def _phi1(wf: WalkFunctionals, z: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """log(1 - z h(xi, -xi)) on the principal branch."""
-
-    def phi(xi):
-        xi = np.asarray(xi, dtype=complex)
-        return _log(1.0 - z * increment_char(wf.model, xi))
-
-    return phi
-
-
-def _check_interior(z: complex, s: complex | None) -> None:
+def _check_interior(z: complex, s: complex) -> None:
     if abs(z) >= 1.0:
         raise DomainError("|z| must be strictly below 1 for the contour engine")
-    if s is not None and s.real <= 0.0:
+    if s.real <= 0.0:
         raise DomainError("Re s must be strictly positive for the contour engine")
-
-
-def _pole_refinement(s: complex) -> tuple[float, float]:
-    return (s.imag, max(abs(s.real), 1e-3))
 
 
 def _contour_value(value: complex, abs_err: float, spec: ContourSpec,
@@ -111,63 +97,71 @@ def _contour_value(value: complex, abs_err: float, spec: ContourSpec,
     return TransformValue(value, abs_err, "contour")
 
 
-def busy_period_transform(wf: WalkFunctionals, z: complex, s: complex,
-                          spec: ContourSpec) -> TransformValue:
-    """Joint transform E[z^N e^{-sP}] of the descent count and its b-total.
+def _h_shifted(model: IncrementModel, s1: complex, xi):
+    # h(xi, s1 - xi); at s1 = 0 it is the step transform increment_char
+    return increment_char(model, xi) if s1 == 0 else lst_eval(model, xi, s1 - xi)
 
-    The kernel-at-s exponent term is folded in closed form as
-    log(1 - z h(s,0)); only the shifted term is integrated.
+
+def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, p: complex,
+                      spec: ContourSpec) -> tuple[complex, float]:
+    """(1/2 pi i) PV int log(1 - z h(xi, s1 - xi)) / (xi - p) dxi over the axis.
+
+    Returns the exponent and its error.  A pole off the axis is integrated
+    through with panels refined around it; a pole on the axis (Re p = 0)
+    takes the exterior Plemelj limit, the value continued from Re p > 0.
     """
-    z, s = complex(z), complex(s)
-    _check_interior(z, s)
-    if z == 0:
-        return TransformValue(0j, 0.0, "contour")
     model = wf.model
 
-    def density(xi):
-        xi = np.asarray(xi, dtype=complex)
-        return _log(1.0 - z * lst_eval(model, xi, s - xi)) / (s - xi)
+    def phi(xi):
+        return _log(1.0 - z * _h_shifted(model, s1, np.asarray(xi, dtype=complex)))
 
-    pv = pv_axis(density, spec, asymptotic_coeff=0.0, refine_near=_pole_refinement(s))
-    j_b = pv.value / _TWO_PI_I
-    front = (1.0 - z * complex(lst_eval(model, s, 0.0))) * cmath.exp(-j_b)
-    return _contour_value(1.0 - front, abs(front) * pv.abs_err / _TWO_PI, spec)
+    if p.real == 0.0:
+        pv = pv_axis_singular(phi, p, spec, phi_at_infinity=0.0)
+    else:
+        pv = pv_axis(lambda xi: phi(xi) / (xi - p), spec, asymptotic_coeff=0.0,
+                     refine_near=(p.imag, max(abs(p.real), 1e-3)))
+    return pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI
+
+
+def first_descent_transform(wf: WalkFunctionals, z: complex, s1: complex, s2: complex,
+                            spec: ContourSpec) -> TransformValue:
+    """E[z^N e^{-s1 b_N - s2 S_N}] over the first strict descent N of the walk.
+
+    b_N is the b-total up to N and S_N < 0 the walk at N, with the sign
+    convention of estimate_functional and spitzer_series; the domain is
+    |z| < 1, Re s1 >= 0, Re s2 <= 0.  With p = s1 + s2 and J the descent
+    exponent at (s1, p), the value is 1 - (1 - z h(p, s1 - p)) e^J when
+    Re p >= 0 and 1 - e^J when Re p < 0.
+    """
+    z, s1, s2 = complex(z), complex(s1), complex(s2)
+    if abs(z) >= 1.0 or s1.real < 0.0 or s2.real > 0.0:
+        raise DomainError("the contour engine needs |z| < 1, Re s1 >= 0, Re s2 <= 0")
+    if z == 0:
+        return TransformValue(0j, 0.0, "contour")
+    p = s1 + s2
+    j, j_err = _descent_exponent(wf, z, s1, p, spec)
+    front = 1.0 - z * _h_shifted(wf.model, s1, p) if p.real >= 0.0 else 1.0
+    tail = front * cmath.exp(j)
+    return _contour_value(1.0 - tail, abs(tail) * j_err, spec)
+
+
+def busy_period_transform(wf: WalkFunctionals, z: complex, s: complex,
+                          spec: ContourSpec) -> TransformValue:
+    """E[z^N e^{-sP}] of the descent count and its b-total: the joint point (s, 0)."""
+    _check_interior(complex(z), complex(s))
+    return first_descent_transform(wf, z, s, 0.0, spec)
 
 
 def idle_period_transform(wf: WalkFunctionals, z: complex, s: complex,
                           spec: ContourSpec) -> TransformValue:
-    """Joint transform E[z^N e^{-sI}] of the descent count and the overshoot."""
-    z, s = complex(z), complex(s)
-    _check_interior(z, s)
-    if z == 0:
-        return TransformValue(0j, 0.0, "contour")
-    phi = _phi1(wf, z)
-
-    def density(xi):
-        xi = np.asarray(xi, dtype=complex)
-        return phi(xi) / (s + xi)
-
-    pv = pv_axis(density, spec, asymptotic_coeff=0.0,
-                 refine_near=(-s.imag, max(abs(s.real), 1e-3)))
-    expo = cmath.exp(pv.value / _TWO_PI_I)
-    return _contour_value(1.0 - expo, abs(expo) * pv.abs_err / _TWO_PI, spec)
-
-
-def _axis_exponent(phi, s: complex, spec: ContourSpec) -> tuple[complex, float]:
-    """(1/2 pi i) times the axis principal value of phi(xi)/(xi - s), Re s = 0."""
-    pv = pv_axis_singular(phi, s, spec, phi_at_infinity=0.0)
-    return pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI
+    """E[z^N e^{-sI}] of the descent count and the overshoot: the joint point (0, -s)."""
+    _check_interior(complex(z), complex(s))
+    return first_descent_transform(wf, z, 0.0, -complex(s), spec)
 
 
 def steps_pgf(wf: WalkFunctionals, z: complex, spec: ContourSpec) -> TransformValue:
-    """PGF E[z^N] of the number of steps to the first strict descent below 0."""
-    z = complex(z)
-    _check_interior(z, None)
-    if z == 0:
-        return TransformValue(0j, 0.0, "contour")
-    j_n, j_err = _axis_exponent(_phi1(wf, z), 0.0, spec)
-    tail = (1.0 - z) * cmath.exp(j_n)
-    return _contour_value(1.0 - tail, abs(tail) * j_err, spec)
+    """PGF E[z^N] of the number of steps to the first strict descent: the point (0, 0)."""
+    return first_descent_transform(wf, z, 0.0, 0.0, spec)
 
 
 def transient_max_transform(wf: WalkFunctionals, z: complex, s: complex,
@@ -177,17 +171,10 @@ def transient_max_transform(wf: WalkFunctionals, z: complex, s: complex,
     _check_interior(z, s)
     if z == 0:
         return TransformValue(1.0 + 0j, 0.0, "contour")
-    phi = _phi1(wf, z)
-
-    def density(xi):
-        xi = np.asarray(xi, dtype=complex)
-        return phi(xi) / (xi - s)
-
-    pv = pv_axis(density, spec, asymptotic_coeff=0.0, refine_near=_pole_refinement(s))
-    w_val = pv.value / _TWO_PI_I
-    j_n, j_err = _axis_exponent(phi, 0.0, spec)
-    value = cmath.exp(w_val - j_n) / (1.0 - z)
-    err = abs(value) * (pv.abs_err / _TWO_PI + j_err)
+    j_s, err_s = _descent_exponent(wf, z, 0.0, s, spec)
+    j_0, err_0 = _descent_exponent(wf, z, 0.0, 0j, spec)
+    value = cmath.exp(j_s - j_0) / (1.0 - z)
+    err = abs(value) * (err_s + err_0)
     # value grows like 1/(1 - z); tol applies to (1 - z) * value
     return _contour_value(value, err, spec, abs(1.0 - z))
 
@@ -212,10 +199,9 @@ def wienerhopf_factors(wf: WalkFunctionals, z: complex, s: complex,
     kernel_val = 1.0 - z * complex(lst_eval(wf.model, s, -s))
     if z == 0:
         return 1.0 + 0j, 1.0 + 0j, 0.0
-    phi = _phi1(wf, z)
     alt = ContourSpec(T=spec.T * 1.5, nodes=spec.nodes + max(1, spec.nodes // 3),
                       tol=spec.tol)
-    q_main, q_alt = (_contour_value(*_axis_exponent(phi, s, sp), spec).value
+    q_main, q_alt = (_contour_value(*_descent_exponent(wf, z, 0.0, s, sp), spec).value
                      for sp in (spec, alt))
     psi_plus = cmath.exp(-q_main)
     psi_minus = kernel_val * cmath.exp(q_alt)
@@ -247,11 +233,15 @@ def _static_base(kernel: RationalKernel) -> RootReport:
     return find_kernel_roots(kernel, 0.0, 0.0)
 
 
-def _root_product(roots: Sequence[complex], shift: complex) -> complex:
-    out = 1.0 + 0j
-    for r in roots:
-        out *= shift - r
-    return out
+def _root_ratio(top: RootReport, bottom: RootReport, p: complex) -> tuple[complex, float]:
+    """prod(p - top roots) / prod(p - bottom roots), with the bound on |log|
+    of its relative error that the reports' clusters cause (product_err)."""
+    num = den = 1.0 + 0j
+    for r in top.roots:
+        num *= p - r
+    for r in bottom.roots:
+        den *= p - r
+    return num / den, top.product_err(p) + bottom.product_err(p)
 
 
 def _rational_value(value: complex, part: complex, log_err: float) -> TransformValue:
@@ -268,10 +258,9 @@ def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> Transfo
     drift = _drift_flag(wf, z, s)
     base = _static_base(kernel) if kernel.static_h2 else find_kernel_roots(kernel, 0.0, s)
     shifted = find_kernel_roots(kernel, z, s, stable_drift=drift)
-    ratio = _root_product(base.roots, s) / _root_product(shifted.roots, s)
+    ratio, log_err = _root_ratio(base, shifted, s)
     front = 1.0 - z * complex(lst_eval(wf.model, s, 0.0))
-    return _rational_value(1.0 - front * ratio, front * ratio,
-                           base.product_err(s) + shifted.product_err(s))
+    return _rational_value(1.0 - front * ratio, front * ratio, log_err)
 
 
 def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:
@@ -283,10 +272,9 @@ def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> Trans
     drift = _drift_flag(wf, z, 0.0)
     base = find_kernel_roots(kernel, 0.0, 0.0)
     shifted = find_kernel_roots(kernel, z, 0.0, stable_drift=drift)
-    value = (_root_product(shifted.roots, 0.0) / _root_product(base.roots, 0.0)) \
-        * (_root_product(base.roots, s) / _root_product(shifted.roots, s))
-    log_err = sum(rep.product_err(w) for rep in (base, shifted) for w in (0.0, s))
-    return _rational_value(value, value, log_err)
+    at_0, err_0 = _root_ratio(shifted, base, 0.0)
+    at_s, err_s = _root_ratio(base, shifted, s)
+    return _rational_value(at_0 * at_s, at_0 * at_s, err_0 + err_s)
 
 
 def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
@@ -297,9 +285,8 @@ def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
     kernel = _kernel_of(wf)
     base = find_kernel_roots(kernel, 0.0, 0.0)
     shifted = find_kernel_roots(kernel, z, 0.0)
-    ratio = _root_product(base.roots, 0.0) / _root_product(shifted.roots, 0.0)
-    return _rational_value(1.0 - (1.0 - z) * ratio, (1.0 - z) * ratio,
-                           base.product_err(0.0) + shifted.product_err(0.0))
+    ratio, log_err = _root_ratio(base, shifted, 0.0)
+    return _rational_value(1.0 - (1.0 - z) * ratio, (1.0 - z) * ratio, log_err)
 
 
 # --- limits and inversion --------------------------------------------------

@@ -221,6 +221,15 @@ def test_roots_command(mm1_file, tmp_path, mm1_refs):
     assert float(rows[0]["residual"]) < 1e-8
 
 
+def test_roots_unstable_unit_corner_is_stability_error(tmp_path, capsys):
+    # z = 1 at Re s = 0 leans on the drift condition; roots applies the same
+    # rule as the engines and reports the failed condition, not an API keyword
+    p = tmp_path / "unstable.yaml"
+    p.write_text(MM1_YAML.replace("rate: 2.0", "rate: 0.5"))
+    assert run(["roots", "--model", str(p), "--z", "1", "--s", "0"]) == 1
+    assert "z = 1 at Re s = 0 requires E B < E A" in capsys.readouterr().err
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import walkfluct.fluct
 from walkfluct.fluct import (
     busy_period_rational,
     busy_period_transform,
+    first_descent_transform,
     geometric_limit,
     idle_period_transform,
     invert_to_distribution,
@@ -30,6 +31,7 @@ from walkfluct.model import (
     Uniform,
     build_product_model,
 )
+from walkfluct.oracle import spitzer_series
 
 
 def _tol(tv, floor=1e-6):
@@ -158,6 +160,9 @@ def test_contour_engine_rejects_boundary_z(mm1, spec):
         busy_period_transform(mm1, 1.0, 1.0, spec)
     with pytest.raises(DomainError):
         steps_pgf(mm1, 1.2, spec)
+    for z, s1, s2 in ((1.0, 0.5, 0.0), (0.5, -0.1, 0.0), (0.5, 0.5, 0.1)):
+        with pytest.raises(DomainError):
+            first_descent_transform(mm1, z, s1, s2, spec)
 
 
 def test_rational_engine_guards_unstable_boundary():
@@ -184,6 +189,7 @@ def test_z_zero_shortcuts(mm1, spec):
     assert busy_period_transform(mm1, 0.0, 1.0, spec).value == 0.0
     assert idle_period_transform(mm1, 0.0, 1.0, spec).value == 0.0
     assert steps_pgf(mm1, 0.0, spec).value == 0.0
+    assert first_descent_transform(mm1, 0.0, 1.0, -1.0, spec).value == 0.0
     assert transient_max_transform(mm1, 0.0, 1.0, spec).value == 1.0
     pp, pm, res = wienerhopf_factors(mm1, 0.0, 0.5j, spec)
     assert (pp, pm, res) == (1.0, 1.0, 0.0)
@@ -279,12 +285,16 @@ _DET_UNIFORM = build_product_model(Deterministic(0.7), Uniform(0.2, 2.0),
 @pytest.mark.parametrize("functional", ["busy", "idle", "steps"])
 def test_det_uniform_contour_at_default_spec(spec, functional, z, s):
     # the non-rational walk returns at the default spec, and its error
-    # covers the gap to a finer ladder
+    # covers the gap to a finer ladder; each wrapper is the joint transform
+    # at its point (s, 0), (0, -s) or (0, 0)
     wf = walk_functionals(_DET_UNIFORM)
-    call = {"busy": lambda sp: busy_period_transform(wf, z, s, sp),
-            "idle": lambda sp: idle_period_transform(wf, z, s, sp),
-            "steps": lambda sp: steps_pgf(wf, z, sp)}[functional]
+    call, (s1, s2) = {"busy": (lambda sp: busy_period_transform(wf, z, s, sp), (s, 0.0)),
+                      "idle": (lambda sp: idle_period_transform(wf, z, s, sp), (0.0, -s)),
+                      "steps": (lambda sp: steps_pgf(wf, z, sp), (0.0, 0.0))}[functional]
     tv = call(spec)
+    joint = first_descent_transform(wf, z, s1, s2, spec)
+    assert abs(tv.value - joint.value) <= 1e-15 * (1.0 + abs(joint.value))
+    assert abs(tv.abs_err - joint.abs_err) <= 1e-15 * (1.0 + abs(joint.value))
     ref = call(ContourSpec(T=480.0, nodes=32))
     assert abs(tv.value - ref.value) <= tv.abs_err + ref.abs_err
 
@@ -302,3 +312,23 @@ def test_mm1_contour_errors_are_honest(mm1, mm1_refs, spec):
                         (transient_max_transform(mm1, z, s, spec),
                          mm1_refs.transient_max(z, s))):
             assert abs(tv.value - ref) <= tv.abs_err, (z, s)
+
+
+# --- the joint first-descent transform -------------------------------------
+
+
+# Re(s1 + s2) > 0, < 0 and = 0: the three routes of the descent exponent
+_JOINT_POINTS = [(0.5, 1.0, -0.4), (0.7, 0.5 + 0.3j, -1.2), (0.4 + 0.3j, 0.8, -0.8 + 0.5j)]
+
+
+@pytest.mark.parametrize("name", ["product_mm1", "threshold_exp", "markov_2state"])
+def test_first_descent_transform_matches_series(models, name, spec):
+    # genuinely joint (z, s1, s2) points against the shared-path series
+    # oracle, with the 4-standard-error rule of acceptance criterion 05
+    model = models[name]
+    wf = walk_functionals(model)
+    for k, (z, s1, s2) in enumerate(_JOINT_POINTS):
+        ct = first_descent_transform(wf, z, s1, s2, spec)
+        sv = spitzer_series(model, z, s1, s2, n_max=60, paths_per_n=10 ** 5, seed=700 + k)
+        tol = max(1e-3, 4.0 * (ct.abs_err + sv.abs_err))
+        assert abs(ct.value - sv.value) < tol, (name, z, s1, s2)
