@@ -129,12 +129,10 @@ def _eval_density(density, xi: np.ndarray) -> np.ndarray:
 
 
 def _band(density, lo: float, hi: float, nodes: int,
-          refine_near: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          refine_near: tuple[float, float] | None) -> np.ndarray:
     """Quadrature terms of the density on the two axis bands lo <= |Im xi| <= hi.
 
-    The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.  Also
-    returns the outermost two panels' ordinates y and paired estimates
-    (iy*f(iy) + (-iy)*f(-iy))/2 of the 1/xi coefficient c1.
+    The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.
     """
     edges = _panel_edges(lo, hi, refine_near)
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -142,26 +140,7 @@ def _band(density, lo: float, hi: float, nodes: int,
     mid = 0.5 * (edges[1:] + edges[:-1])
     ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     ws = (half[:, None] * w[None, :]).ravel()
-    up = _eval_density(density, 1j * ys)
-    dn = _eval_density(density, -1j * ys)
-    k = min(2 * nodes, len(ys))
-    return ws * (up + dn), ys[-k:], 0.5j * ys[-k:] * (up[-k:] - dn[-k:])
-
-
-def _fit_c1(yy: np.ndarray, est: np.ndarray) -> tuple[complex, float]:
-    """c1 = lim xi*f(xi) from the outermost samples, with its fit spread.
-
-    The paired estimate is an even series in 1/y, so fitting {1, 1/y^2} over
-    the outermost two panels leaves only an O(1/T^4) bias; a plain average
-    would leak an O(1/T^2) term into the extrapolation ladder.
-    """
-    k = len(yy)
-    if k >= 4:
-        basis = np.column_stack([np.ones(k), yy ** -2.0])
-        coef, *_ = np.linalg.lstsq(basis, est, rcond=None)
-        return complex(coef[0]), float(np.max(np.abs(est - basis @ coef)))
-    c1 = complex(np.mean(est))
-    return c1, float(np.max(np.abs(est - c1))) if k > 1 else abs(c1)
+    return ws * (_eval_density(density, 1j * ys) + _eval_density(density, -1j * ys))
 
 
 def _neville_table(hs, vals):
@@ -189,38 +168,36 @@ def _extrapolate(hs, vals) -> tuple[complex, float]:
     return value, err
 
 
-def pv_axis(density, spec: ContourSpec, *,
-            asymptotic_coeff: complex | None = None,
+def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
             refine_near: tuple[float, float] | None = None) -> TransformValue:
     """Limit of symmetric truncations of the axis integral, closed at infinity.
 
     The truncations at heights T, 2T and 4T share their nodes: each adds one
     band [lo, hi] to the one below it, and their 1/T-Richardson limit is the
-    value.  abs_err is the extrapolation spread plus pi times the spread of
-    the outermost c1 fit; the caller gates it against spec.tol on the
-    quantity it returns.  asymptotic_coeff fixes c1 = lim xi*density(xi)
-    exactly when the caller knows it (0 for any density decaying faster than
-    1/|xi|); pass None to estimate it from the outermost panels of each band.
+    value.  asymptotic_coeff is c1 = lim xi*density(xi), which every caller
+    knows in closed form (0 for any density decaying faster than 1/|xi|).
     refine_near subdivides panels geometrically around an ordinate where the
     density peaks.
+
+    abs_err is the extrapolation spread of the ladder only; the caller gates
+    it against spec.tol on the quantity it returns.  The three truncations
+    share the band next to the axis, so the spread cannot see a pole within
+    about a panel of the axis unless refine_near names its ordinate; the
+    engines always pass refine_near.
     """
     heights = [spec.T * k for k in _LADDER]
-    terms, vals, spread = [], [], 0.0
+    c1 = complex(asymptotic_coeff)
+    terms, vals = [], []
     for lo, hi in zip([0.0] + heights[:-1], heights):
-        band, yy, est = _band(density, lo, hi, spec.nodes, refine_near)
-        terms.append(band)
+        terms.append(_band(density, lo, hi, spec.nodes, refine_near))
         # one sum over all of [0, hi] rounds exactly as a single truncation would
         raw = 1j * complex(np.sum(np.concatenate(terms)))
-        if asymptotic_coeff is None:
-            c1, spread = _fit_c1(yy, est)
-        else:
-            c1 = complex(asymptotic_coeff)
         v = raw + 1j * math.pi * c1
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise EvalError(f"truncated integral at T = {hi:g} is not finite")
         vals.append(v)
     value, err = _extrapolate([1.0 / T for T in heights], vals)
-    err = max(err + math.pi * spread, 1e-15 * (1.0 + abs(value)))
+    err = max(err, 1e-15 * (1.0 + abs(value)))
     return TransformValue(value=value, abs_err=err, method="contour")
 
 

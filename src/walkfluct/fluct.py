@@ -38,6 +38,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_I = 2j * math.pi
+# Bromwich inversion: damping exponent, series terms and Euler depth
+_DECAY, _TERMS, _EULER_DEPTH = 18.4, 40, 12
 
 STABLE = "stable"
 CRITICAL = "critical"
@@ -58,15 +60,14 @@ class WalkFunctionals:
     """An increment model bundled with its drift regime."""
 
     model: IncrementModel
-    stability: str
 
-    def __post_init__(self) -> None:
-        if self.stability != _classify(self.model.mean_b, self.model.mean_a):
-            raise ValueError("stability label disagrees with the model means")
+    @property
+    def stability(self) -> str:
+        return _classify(self.model.mean_b, self.model.mean_a)
 
 
 def walk_functionals(model: IncrementModel) -> WalkFunctionals:
-    return WalkFunctionals(model, _classify(model.mean_b, model.mean_a))
+    return WalkFunctionals(model)
 
 
 def _log(w: np.ndarray) -> np.ndarray:
@@ -218,8 +219,9 @@ def _kernel_of(wf: WalkFunctionals) -> RationalKernel:
 
 
 def _drift_flag(wf: WalkFunctionals, z: complex, s: complex) -> bool | None:
-    # Only the corner |z| = 1, Re s = 0 leans on the drift condition.
-    if abs(abs(z) - 1.0) <= 1e-12 and s.real <= 1e-12:
+    # Only the corner z = 1, Re s = 0 leans on the drift condition; the rest
+    # of the unit circle at Re s = 0 is refused by find_kernel_roots.
+    if abs(z - 1.0) <= 1e-12 and s.real <= 1e-12:
         if wf.stability != STABLE:
             raise StabilityError("z = 1 at Re s = 0 requires E B < E A")
         return True
@@ -292,51 +294,47 @@ def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
 # --- limits and inversion --------------------------------------------------
 
 def geometric_limit(evaluate: Callable[[float], TransformValue], *,
-                    h0: float = 0.5, levels: int = 7) -> TransformValue:
-    """Extrapolate evaluate(h) to h -> 0 along the ladder h = h0 * 2^{-k}.
+                    levels: int = 7) -> TransformValue:
+    """Extrapolate evaluate(h) to h -> 0 along the ladder h = 2^{-1-k}.
 
     Used for the z -> 1 and s -> 0 limits of the contour engine, which must
     not be evaluated at the boundary directly.  The reported abs_err adds the
     worst inner error to the extrapolation spread.
     """
-    hs = np.array([h0 * 2.0 ** (-k) for k in range(levels)])
+    hs = np.array([0.5 * 2.0 ** (-k) for k in range(levels)])
     seen = [evaluate(float(h)) for h in hs]
     value, err = _extrapolate(hs, np.array([tv.value for tv in seen], dtype=complex))
     return TransformValue(value, err + max(tv.abs_err for tv in seen), seen[-1].method)
 
 
 def invert_to_distribution(transform: Callable[[complex], complex],
-                           t_grid: Sequence[float], *,
-                           decay: float = 18.4, terms: int = 40,
-                           euler_depth: int = 12) -> list[float]:
+                           t_grid: Sequence[float]) -> list[float]:
     """Invert a Laplace transform on a positive t grid.
 
     Damped alternating series on the Bromwich line with Euler (binomial)
-    acceleration; `decay` bounds the aliasing error by roughly e^{-decay}.
+    acceleration; _DECAY bounds the aliasing error by roughly e^{-_DECAY}.
     The error heuristic is the gap between the last two acceleration depths;
     a gap beyond 10^-2 of scale raises NoConvergence.
     """
-    if euler_depth < 2 or terms < 1:
-        raise ValueError("need terms >= 1 and euler_depth >= 2")
-    weights = np.array([math.comb(euler_depth, k) for k in range(euler_depth + 1)],
+    weights = np.array([math.comb(_EULER_DEPTH, k) for k in range(_EULER_DEPTH + 1)],
                        dtype=float)
-    prev_w = np.array([math.comb(euler_depth - 1, k) for k in range(euler_depth)],
+    prev_w = np.array([math.comb(_EULER_DEPTH - 1, k) for k in range(_EULER_DEPTH)],
                       dtype=float)
     out: list[float] = []
     for t_raw in t_grid:
         t = float(t_raw)
         if t <= 0.0:
             raise ValueError("inversion grid points must be positive")
-        ks = np.arange(terms + euler_depth + 1)
-        fv = np.array([complex(transform(complex((decay + _TWO_PI * k * 1j) / (2 * t))))
+        ks = np.arange(_TERMS + _EULER_DEPTH + 1)
+        fv = np.array([complex(transform(complex((_DECAY + _TWO_PI * k * 1j) / (2 * t))))
                        for k in ks])
         series = np.real(fv) * (-1.0) ** ks
         series[0] *= 0.5
         partial = np.cumsum(series)
-        window = partial[terms - 1: terms + euler_depth]
-        accel = float(weights @ window) / 2.0 ** euler_depth
-        accel_prev = float(prev_w @ window[:-1]) / 2.0 ** (euler_depth - 1)
-        scale = math.exp(decay / 2.0) / t
+        window = partial[_TERMS - 1: _TERMS + _EULER_DEPTH]
+        accel = float(weights @ window) / 2.0 ** _EULER_DEPTH
+        accel_prev = float(prev_w @ window[:-1]) / 2.0 ** (_EULER_DEPTH - 1)
+        scale = math.exp(_DECAY / 2.0) / t
         value = scale * accel
         gap = scale * abs(accel - accel_prev)
         if not math.isfinite(value) or gap > 1e-2 * (1.0 + abs(value)):

@@ -27,11 +27,9 @@ __all__ = [
     "IncrementModel",
     "lst_eval",
     "increment_char",
-    "sample_increment",
     "build_product_model",
     "build_threshold_model",
     "build_markov_modulated",
-    "build_rational_custom",
     "builtin_models",
 ]
 
@@ -350,7 +348,6 @@ class RationalKernel:
     h1_coeffs: tuple
     h2_coeffs: tuple
     degree: int
-    reducible_in_xi: bool
     clear_fn: Callable | None = None
     static_h2: bool = False
 
@@ -361,8 +358,6 @@ class RationalKernel:
             raise InvalidSpec("h2 needs degree + 1 coefficient functions")
         if len(self.h1_coeffs) > self.degree:
             raise InvalidSpec("deg h1 must be strictly below deg h2")
-        if self.reducible_in_xi and self.clear_fn is None:
-            raise InvalidSpec("reducible kernels must supply clear_fn")
         for probe in (0.0, 1.7, 2.3 + 0.9j):
             lead = complex(np.asarray(self.h2_coeffs[0](probe)).reshape(()))
             if abs(lead - 1.0) > 1e-9:
@@ -382,9 +377,6 @@ class RationalKernel:
 
     def eval_h2(self, s1, s2):
         return self._horner(self.h2_coeffs, s1, s2)
-
-    def eval_ratio(self, s1, s2):
-        return self.eval_h1(s1, s2) / self.eval_h2(s1, s2)
 
     def eval_shifted(self, xi, z, s):
         """h2(xi, s - xi) - z*h1(xi, s - xi), the root-product kernel."""
@@ -434,36 +426,27 @@ def lst_eval(model: IncrementModel, s1, s2):
     Points with Re s < 0 are allowed only where the model declares an
     analytic continuation: through the rational kernel in s1, and down to the
     marginal abscissa in s2.  Vectorized over broadcastable arrays; scalar
-    input returns a plain complex.
+    input returns a plain complex.  Errors name the first offending point.
     """
-    if np.ndim(s1) == 0 and np.ndim(s2) == 0:
-        s1, s2 = complex(s1), complex(s2)
-        if s2.real < 0 and s2.real <= model.a_abscissa:
-            raise DomainError(f"Re s2 = {s2.real:g} is below the continuation abscissa")
-        if s1.real < 0 and model.rational is None and s1.real <= model.b_abscissa:
-            raise DomainError(f"Re s1 = {s1.real:g} outside the analyticity region")
-        with np.errstate(all="ignore"):
-            val = complex(np.asarray(model.lst(s1, s2)).reshape(()))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            if model.rational is not None:
-                raise PoleError(f"s1 = {s1:.6g} hits a pole of the kernel")
-            raise EvalError(f"transform not finite at ({s1:.6g}, {s2:.6g})")
-        return val
     a1 = np.asarray(s1, dtype=complex)
     a2 = np.asarray(s2, dtype=complex)
     re1, re2 = np.broadcast_arrays(a1.real, a2.real)
-    if bool(np.any((re2 < 0) & (re2 <= model.a_abscissa))):
-        raise DomainError("Re s2 below the continuation abscissa on the evaluation set")
-    if model.rational is None and \
-            bool(np.any((re1 < 0) & (re1 <= model.b_abscissa))):
-        raise DomainError("Re s1 outside the analyticity region on the evaluation set")
+    below = (re2 < 0) & (re2 <= model.a_abscissa)
+    if below.any():
+        raise DomainError(f"Re s2 = {re2[below][0]:g} is below the continuation abscissa")
+    if model.rational is None:
+        outside = (re1 < 0) & (re1 <= model.b_abscissa)
+        if outside.any():
+            raise DomainError(f"Re s1 = {re1[outside][0]:g} outside the analyticity region")
     with np.errstate(all="ignore"):
         val = np.asarray(model.lst(a1, a2), dtype=complex)
-    if not bool(np.all(np.isfinite(val))):
+    if not np.isfinite(val).all():
+        p1, p2, pv = np.broadcast_arrays(a1, a2, val)
+        k = np.flatnonzero(~np.isfinite(pv))[0]
         if model.rational is not None:
-            raise PoleError("a pole of the kernel lies on the evaluation set")
-        raise EvalError("transform not finite on the evaluation set")
-    return val
+            raise PoleError(f"s1 = {p1.flat[k]:.6g} hits a pole of the kernel")
+        raise EvalError(f"transform not finite at ({p1.flat[k]:.6g}, {p2.flat[k]:.6g})")
+    return complex(val) if val.ndim == 0 else val
 
 
 def increment_char(model: IncrementModel, xi):
@@ -471,17 +454,8 @@ def increment_char(model: IncrementModel, xi):
 
     Vectorized over xi; scalar input returns a plain complex.
     """
-    arr = np.asarray(xi, dtype=complex)
-    if arr.ndim == 0:
-        return lst_eval(model, complex(arr), -complex(arr))
-    return lst_eval(model, arr, -arr)
-
-
-def sample_increment(model: IncrementModel, rng: np.random.Generator) -> tuple[float, float]:
-    if model.sampler is None:
-        raise UnsupportedModel("model has no sampler")
-    b, a = model.sampler(rng, 1)
-    return float(b[0]), float(a[0])
+    xi = np.asarray(xi, dtype=complex)
+    return lst_eval(model, xi, -xi)
 
 
 def _reject_shared_atoms(b_law: DistributionSpec, a_law: DistributionSpec) -> None:
@@ -525,8 +499,7 @@ def build_product_model(b_law: DistributionSpec, a_law: DistributionSpec,
                 return np.polysub(np.polymul(den, dg), z * np.polymul(num, ng))
 
         kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
-                                reducible_in_xi=a_rat is not None, clear_fn=clear_fn,
-                                static_h2=True)
+                                clear_fn=clear_fn, static_h2=True)
     return IncrementModel(
         kind="product", lst=lst, sampler=sampler,
         mean_b=b_law.mean, mean_a=a_law.mean, rational=kernel,
@@ -570,8 +543,7 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     )
     h2 = tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
                for c in h2_poly)
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
-                            reducible_in_xi=False, clear_fn=None, static_h2=True)
+    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n, static_h2=True)
     mean_b = f1.mean * p_low + f2.mean * (1.0 - p_low)
     return IncrementModel(
         kind="threshold", lst=lst, sampler=sampler,
@@ -733,33 +705,12 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
                 acc = np.polysub(acc, term)
             return acc
 
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
-                            reducible_in_xi=g_rat is not None, clear_fn=clear_fn)
+    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n, clear_fn=clear_fn)
     return IncrementModel(
         kind="markov_modulated", lst=lst, sampler=sampler,
         mean_b=visits * f1_over_f2.mean, mean_a=visits * g0.mean, rational=kernel,
         label=label or "markov_modulated",
         b_abscissa=f1_over_f2.abscissa, a_abscissa=g0.abscissa)
-
-
-def build_rational_custom(h1_coeffs, h2_coeffs, degree: int, *,
-                          mean_b: float, mean_a: float,
-                          sampler: Callable | None = None,
-                          reducible_in_xi: bool = False,
-                          clear_fn: Callable | None = None,
-                          label: str = "") -> IncrementModel:
-    """Model defined directly by its rational kernel; sampler optional."""
-    kernel = RationalKernel(h1_coeffs=tuple(h1_coeffs), h2_coeffs=tuple(h2_coeffs),
-                            degree=degree, reducible_in_xi=reducible_in_xi,
-                            clear_fn=clear_fn)
-
-    def lst(s1, s2):
-        return kernel.eval_ratio(s1, s2)
-
-    return IncrementModel(
-        kind="rational_custom", lst=lst, sampler=sampler,
-        mean_b=mean_b, mean_a=mean_a, rational=kernel,
-        label=label or "rational_custom")
 
 
 def builtin_models() -> dict[str, IncrementModel]:

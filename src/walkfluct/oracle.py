@@ -32,6 +32,7 @@ __all__ = [
 
 _BLOCK = 1 << 15
 _TWO_PI_I = 2j * math.pi
+_TRUNC_TOL = 1e-6  # z-truncation bias of default_cap and tail of _series_terms
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,14 @@ class BVFunctionSpec:
         return total
 
 
-def default_cap(z: complex, tol: float = 1e-6) -> int:
-    """Steps per path keeping the z-truncation bias below tol; 10^6 at |z| = 1."""
+def default_cap(z: complex) -> int:
+    """Steps per path keeping the z-truncation bias below _TRUNC_TOL; 10^6 at |z| = 1."""
     az = abs(complex(z))
     if az >= 1.0:
         return 10 ** 6
     if az == 0.0:
         return 1000
-    return max(1000, math.ceil(math.log(tol * (1.0 - az)) / math.log(az)))
+    return max(1000, math.ceil(math.log(_TRUNC_TOL * (1.0 - az)) / math.log(az)))
 
 
 def _stream(seed: int, jump: int) -> np.random.Generator:
@@ -217,10 +218,10 @@ def _series_tail(az: float, n_max: int) -> float:
 
 
 def _series_terms(z: complex) -> int:
-    """Fewest series terms whose tail is below 1e-6, the target of default_cap."""
+    """Fewest series terms whose tail is below _TRUNC_TOL, as default_cap's bias is."""
     az = abs(complex(z))
     n_max = 0
-    while _series_tail(az, n_max) > 1e-6:
+    while _series_tail(az, n_max) > _TRUNC_TOL:
         n_max += 1
     return n_max
 
@@ -324,8 +325,7 @@ def verify_hewitt_discrete(H: AtomicMeasure2D, f: BVFunctionSpec,
             out += w * np.exp(xi * u) * f.truncated_transform(xi, y)
         return out
 
-    terms, _, _ = _band(inner, 0.0, spec.T, spec.nodes, None)
-    lhs = 1j * complex(np.sum(terms)) / _TWO_PI_I
+    lhs = 1j * complex(np.sum(_band(inner, 0.0, spec.T, spec.nodes, None))) / _TWO_PI_I
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NoConvergence("inversion quadrature produced a non-finite value")
     return complex(lhs), complex(rhs), abs(lhs - rhs)

@@ -72,7 +72,7 @@ class _BudgetExceeded(NonIntegerWinding):
     """Refinement wants more samples than the seed density justifies."""
 
 
-def _cycle_winding(F, to_point, n0: int = 256, max_rounds: int = 48) -> int:
+def _cycle_winding(F, to_point, n0: int) -> int:
     """Winding number of F along a closed curve, by adaptive phase tracking.
 
     to_point maps parameters in [0, 1) onto the curve; intervals whose
@@ -100,7 +100,7 @@ def _cycle_winding(F, to_point, n0: int = 256, max_rounds: int = 48) -> int:
     budget = 8 * n0 + 1024
     ts = np.linspace(0.0, 1.0, n0, endpoint=False)
     vals = _eval_density(F, to_point(ts))
-    for _ in range(max_rounds):
+    for _ in range(48):
         if float(np.abs(vals).min()) < 1e-280:
             raise ZeroOnContour("kernel magnitude vanishes on the counting contour")
         ratio = np.roll(vals, -1) / vals
@@ -139,7 +139,7 @@ def _verified_winding(F, to_point, n0: int) -> int:
     prev: int | None = None
     while True:
         try:
-            got = _cycle_winding(F, to_point, n0=n0)
+            got = _cycle_winding(F, to_point, n0)
         except _BudgetExceeded:
             got = None  # structure finer than the seeds; only density helps
         if got is not None and got == prev:
@@ -232,11 +232,12 @@ def _check_count_domain(z: complex, s: complex, stable_drift) -> None:
         raise PreconditionViolated("|z| must not exceed 1")
     if s.real > 1e-12:
         return
-    if abs(z - 1.0) <= 1e-12 and stable_drift:
-        return
-    raise PreconditionViolated(
-        "|z| = 1 with Re s = 0 is covered only for z = 1 on models with "
-        "E B < E A (pass stable_drift=True)")
+    if abs(z - 1.0) > 1e-12:
+        raise PreconditionViolated(
+            f"z = {z:.6g} on the unit circle at Re s = 0 is not covered; only z = 1 is")
+    if not stable_drift:
+        raise PreconditionViolated(
+            "z = 1 at Re s = 0 requires E B < E A (pass stable_drift=True)")
 
 
 def _shifted(kernel: RationalKernel, z: complex, s: complex):
@@ -550,11 +551,10 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
                       clusters=clusters)
 
 
-def verify_rouche(kernel: RationalKernel, z: complex, s: complex,
-                  stable_drift: bool | None = None) -> tuple[int, int, bool]:
+def verify_rouche(kernel: RationalKernel, z: complex, s: complex) -> tuple[int, int, bool]:
     """Independent left-zero counts of h2(xi, s-xi) and of the z-shifted kernel."""
     z, s = complex(z), complex(s)
-    _check_count_domain(z, s, stable_drift)
+    _check_count_domain(z, s, None)
     counts = []
     for zz in (0.0, z):
         F = _shifted(kernel, zz, s)

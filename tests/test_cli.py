@@ -230,6 +230,22 @@ def test_roots_unstable_unit_corner_is_stability_error(tmp_path, capsys):
     assert "z = 1 at Re s = 0 requires E B < E A" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--z=-1", "--s", "0"],
+    ["eval", "max", "--engine", "rational", "--z=-1", "--s", "1"],
+])
+@pytest.mark.parametrize("rate", ["2.0", "0.5"])
+def test_unit_circle_away_from_one_is_not_covered(tmp_path, capsys, argv, rate):
+    # z = -1 at Re s = 0 is outside the covered regime whatever the drift: the
+    # message says so, without an API keyword or the z = 1 drift condition
+    p = tmp_path / "walk.yaml"
+    p.write_text(MM1_YAML.replace("rate: 2.0", f"rate: {rate}"))
+    assert run(argv + ["--model", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "not covered" in err
+    assert "stable_drift" not in err and "E B < E A" not in err
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from walkfluct.model import (
     build_threshold_model,
     increment_char,
     lst_eval,
-    sample_increment,
 )
 
 MODEL_NAMES = ["product_mm1", "threshold_exp", "markov_2state"]
@@ -115,7 +114,7 @@ def test_kernel_ratio_matches_lst(models, name):
     ker = models[name].rational
     for s1 in (0.3, 1.0, 2.0 + 1.5j, 0.1j):
         for s2 in (0.0, 0.8, 1.7 - 0.6j):
-            got = complex(np.asarray(ker.eval_ratio(s1, s2)).reshape(()))
+            got = complex(np.asarray(ker.eval_h1(s1, s2) / ker.eval_h2(s1, s2)).reshape(()))
             assert got == pytest.approx(lst_eval(models[name], s1, s2), abs=1e-12)
 
 
@@ -163,10 +162,10 @@ def test_threshold_sampler_conditional_laws(models):
 
 def test_sample_increment_deterministic(models):
     for mdl in models.values():
-        pair1 = sample_increment(mdl, np.random.default_rng(99))
-        pair2 = sample_increment(mdl, np.random.default_rng(99))
-        assert pair1 == pair2
-        assert pair1[0] >= 0 and pair1[1] >= 0
+        b1, a1 = mdl.sampler(np.random.default_rng(99), 1)
+        b2, a2 = mdl.sampler(np.random.default_rng(99), 1)
+        assert (b1[0], a1[0]) == (b2[0], a2[0])
+        assert b1[0] >= 0 and a1[0] >= 0
 
 
 @pytest.mark.parametrize("law", [
@@ -209,15 +208,12 @@ def test_kernel_validation():
     one = lambda s2: 1.0
     half = lambda s2: 0.5
     with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one), degree=0,
-                       reducible_in_xi=False)
+        RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one), degree=0)
     with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(half, half), h2_coeffs=(one, one), degree=1,
-                       reducible_in_xi=False)
+        RationalKernel(h1_coeffs=(half, half), h2_coeffs=(one, one), degree=1)
     with pytest.raises(InvalidSpec):
         # leading h2 coefficient must be the constant 1
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one), degree=1,
-                       reducible_in_xi=False)
+        RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one), degree=1)
 
 
 def test_lst_eval_domain_guards(models):
@@ -229,6 +225,33 @@ def test_lst_eval_domain_guards(models):
     # continuation through the kernel is allowed left of the axis
     val = lst_eval(mm1, -0.5, 0.0)
     assert val == pytest.approx(2.0 / 1.5, abs=1e-12)
+
+
+def test_lst_eval_scalar_matches_array(models):
+    # one evaluation path: at the guard points a scalar call is the
+    # one-element array call, bit for bit, and both fail alike, naming the
+    # first offending point.  (At complex points numpy's array loops may round
+    # complex division differently from its scalar arithmetic, by an ulp.)
+    cases = dict(models, det_uniform=build_product_model(Deterministic(0.7),
+                                                         Uniform(0.2, 2.0)))
+    points = [(0.5, -1.5), (-2.0, 0.0), (-0.5, 0.0), (0.3, 0.8)]
+    for mdl in cases.values():
+        for s1, s2 in points:
+            try:
+                val = lst_eval(mdl, s1, s2)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as info:
+                    lst_eval(mdl, np.array([s1]), np.array([s2]))
+                assert str(info.value) == str(exc)
+                continue
+            arr = lst_eval(mdl, np.array([s1]), np.array([s2]))
+            assert type(val) is complex and arr.shape == (1,)
+            assert (val.real, val.imag) == (arr[0].real, arr[0].imag)
+    mm1 = models["product_mm1"]
+    with pytest.raises(DomainError, match="-1.5"):
+        lst_eval(mm1, 0.5, np.array([0.2, -1.5, -3.0]))
+    with pytest.raises(PoleError, match="-2"):
+        lst_eval(mm1, np.array([0.5, -2.0]), 0.0)
 
 
 def test_mean_fields_match_closed_forms(models):
