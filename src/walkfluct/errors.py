@@ -48,12 +48,6 @@ class NonIntegerWinding(WalkfluctError):
 class CountMismatch(WalkfluctError):
     """Located roots disagree with the argument-principle count."""
 
-    def __init__(self, message: str, expected: int | None = None,
-                 found: int | None = None):
-        super().__init__(message)
-        self.expected = expected
-        self.found = found
-
 
 class PreconditionViolated(WalkfluctError):
     """Arguments fall outside the regime where the kernel-zero count is known."""

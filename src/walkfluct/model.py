@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvalError, InvalidSpec, PoleError, UnsupportedModel
+from .errors import DomainError, EvalError, InvalidSpec, PoleError
 
 __all__ = [
     "DistributionSpec",
@@ -77,8 +77,8 @@ class DistributionSpec:
     """Base for the built-in nonnegative increment families.
 
     Subclasses provide the transform on Re s > abscissa, the mean, an exact
-    sampler, the cdf, the transforms restricted to {X <= l} and {X > l}, and
-    the (num, den) polynomial pair when the transform is rational.
+    sampler, the transforms restricted to {X <= l} and {X > l}, and the
+    (num, den) polynomial pair when the transform is rational.
     """
 
     abscissa: float = -math.inf
@@ -91,9 +91,6 @@ class DistributionSpec:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def cdf(self, x: float) -> float:
         raise NotImplementedError
 
     def lower_lst(self, s, l: float):
@@ -132,9 +129,6 @@ class Exponential(DistributionSpec):
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
-    def cdf(self, x):
-        return -math.expm1(-self.rate * x) if x > 0 else 0.0
-
     def lower_lst(self, s, l):
         w = (self.rate + np.asarray(s, dtype=complex)) * l
         return self.rate * l * _em(w)
@@ -169,11 +163,6 @@ class Erlang(DistributionSpec):
 
     def sample(self, rng, size):
         return rng.gamma(float(self.shape), 1.0 / self.rate, size)
-
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return float(_lower_reg_gamma(self.shape, complex(self.rate * x)).real)
 
     def lower_lst(self, s, l):
         s = np.asarray(s, dtype=complex)
@@ -219,11 +208,6 @@ class Hyperexponential(DistributionSpec):
         scales = np.asarray([1.0 / r for r in self.rates])
         return rng.exponential(scales[idx])
 
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return sum(-p * math.expm1(-r * x) for p, r in zip(self.probs, self.rates))
-
     def lower_lst(self, s, l):
         return sum(p * Exponential(r).lower_lst(s, l)
                    for p, r in zip(self.probs, self.rates))
@@ -259,9 +243,6 @@ class Deterministic(DistributionSpec):
     def sample(self, rng, size):
         return np.full(size, self.value)
 
-    def cdf(self, x):
-        return 1.0 if x >= self.value else 0.0
-
     def lower_lst(self, s, l):
         shape = np.asarray(s, dtype=complex)
         return self.lst(s) if self.value <= l else np.zeros_like(shape)
@@ -293,9 +274,6 @@ class Uniform(DistributionSpec):
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
-
-    def cdf(self, x):
-        return min(1.0, max(0.0, (x - self.lo) / (self.hi - self.lo)))
 
     def lower_lst(self, s, l):
         s = np.asarray(s, dtype=complex)
@@ -332,6 +310,39 @@ def _pad_to(p: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([np.zeros(length - len(p), dtype=complex), p])
 
 
+def _const_coeffs(poly) -> tuple:
+    """Kernel coefficient functions of s2 that return the entries of poly."""
+    return tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
+                 for c in poly)
+
+
+def _cleared(pgf, n_f, d_f, a_rat) -> Callable:
+    """clear_fn of h = N(x)/D(x) at x = (n_f/d_f)(s1) * (a_num/a_den)(s2).
+
+    pgf = (N, D) holds ascending coefficients in x, with N[0] = 0 and
+    deg D <= deg N = m.  At s2 = s - xi, with u = n_f * a_num(s - xi) and
+    v = d_f * a_den(s - xi), the cleared kernel is
+    sum_k D[k] u^k v^(m-k) - z sum_k N[k] u^k v^(m-k).  The D terms are summed
+    first and the N terms subtracted after them in k order: one pass over
+    D[k] - z N[k] rounds differently and moves roots of degree-6 kernels by
+    about 1e-11.
+    """
+    N, D = pgf
+    a_num, a_den = a_rat
+    m = len(N) - 1
+
+    def clear_fn(z, s):
+        u = np.polymul(n_f, _poly_sub_s_minus_xi(a_num, s))
+        v = np.polymul(d_f, _poly_sub_s_minus_xi(a_den, s))
+        acc = np.array([0.0 + 0j])
+        for k, c in enumerate(D):
+            acc = np.polyadd(acc, c * np.polymul(_poly_pow(u, k), _poly_pow(v, m - k)))
+        for k in range(1, m + 1):
+            acc = np.polysub(acc, z * N[k] * np.polymul(_poly_pow(u, k), _poly_pow(v, m - k)))
+        return acc
+    return clear_fn
+
+
 @dataclass(frozen=True)
 class RationalKernel:
     """h = h1/h2 with both polynomials in s1 and coefficients functions of s2.
@@ -347,15 +358,16 @@ class RationalKernel:
 
     h1_coeffs: tuple
     h2_coeffs: tuple
-    degree: int
     clear_fn: Callable | None = None
     static_h2: bool = False
+
+    @property
+    def degree(self) -> int:
+        return len(self.h2_coeffs) - 1
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise InvalidSpec("kernel degree must be at least 1")
-        if len(self.h2_coeffs) != self.degree + 1:
-            raise InvalidSpec("h2 needs degree + 1 coefficient functions")
         if len(self.h1_coeffs) > self.degree:
             raise InvalidSpec("deg h1 must be strictly below deg h2")
         for probe in (0.0, 1.7, 2.3 + 0.9j):
@@ -383,11 +395,6 @@ class RationalKernel:
         xi = np.asarray(xi, dtype=complex)
         s2 = s - xi
         return self.eval_h2(xi, s2) - z * self.eval_h1(xi, s2)
-
-    def clear(self, z: complex, s: complex) -> np.ndarray:
-        if self.clear_fn is None:
-            raise UnsupportedModel("kernel does not clear to a polynomial in xi")
-        return np.asarray(self.clear_fn(complex(z), complex(s)), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -481,24 +488,14 @@ def build_product_model(b_law: DistributionSpec, a_law: DistributionSpec,
     b_rat = b_law.rational()
     if b_rat is not None:
         num, den = b_rat
-        n = len(den) - 1
         h1 = tuple(
             (lambda s2, c=complex(c): c * a_law.lst(s2))
-            for c in _pad_to(num, n)
+            for c in _pad_to(num, len(den) - 1)
         )
-        h2 = tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
-                   for c in den)
         a_rat = a_law.rational()
-        clear_fn = None
-        if a_rat is not None:
-            a_num, a_den = a_rat
-
-            def clear_fn(z, s, num=num, den=den, a_num=a_num, a_den=a_den):
-                dg = _poly_sub_s_minus_xi(a_den, s)
-                ng = _poly_sub_s_minus_xi(a_num, s)
-                return np.polysub(np.polymul(den, dg), z * np.polymul(num, ng))
-
-        kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n,
+        # one visit: the visit-count PGF is x, so (N, D) = (x, 1)
+        clear_fn = None if a_rat is None else _cleared(((0.0, 1.0), (1.0,)), num, den, a_rat)
+        kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(den),
                                 clear_fn=clear_fn, static_h2=True)
     return IncrementModel(
         kind="product", lst=lst, sampler=sampler,
@@ -519,7 +516,7 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     r1, r2 = f1.rational(), f2.rational()
     if r1 is None or r2 is None:
         raise InvalidSpec("threshold branch transforms must be proper rational LSTs")
-    p_low = a_law.cdf(l)
+    p_low = float(np.real(a_law.lower_lst(0.0, l)))
 
     def lst(s1, s2):
         return f1.lst(s1) * a_law.lower_lst(s2, l) + f2.lst(s1) * a_law.upper_lst(s2, l)
@@ -541,9 +538,7 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
          u * a_law.lower_lst(s2, l) + v * a_law.upper_lst(s2, l))
         for u, v in zip(c1, c2)
     )
-    h2 = tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
-               for c in h2_poly)
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n, static_h2=True)
+    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(h2_poly), static_h2=True)
     mean_b = f1.mean * p_low + f2.mean * (1.0 - p_low)
     return IncrementModel(
         kind="threshold", lst=lst, sampler=sampler,
@@ -578,8 +573,8 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
     contributing an independent pair (B_i, A_i) with B per-visit transform
     f1/f2 and A per-visit transform g0.
 
-    h(s1, s2) = alpha^t adj-resolvent t evaluated at x = f(s1) g0(s2), the
-    probability generating function of kappa at x.
+    h(s1, s2) = N(x)/D(x) at x = f(s1) g0(s2): the probability generating
+    function of kappa, with D(x) = det(I - xT) and N(x) = x alpha adj(I - xT) t.
     """
     alpha = np.asarray(alpha, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -603,18 +598,14 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
         raise InvalidSpec("per-visit transform f1/f2 must be a proper rational LST")
 
     visits = alpha @ np.linalg.inv(np.eye(m) - T) @ np.ones(m)
+    # E x^kappa = N(x)/D(x), both held in ascending powers of x
+    cs, Ms = _faddeev_leverrier(T)
+    pgf = (np.concatenate([[0.0], [alpha @ M @ t for M in Ms]]), cs)
+    polyval = np.polynomial.polynomial.polyval
 
     def lst(s1, s2):
-        r = np.asarray(f1_over_f2.lst(s1) * g0.lst(s2), dtype=complex)
-        shape = r.shape
-        flat = r.reshape(-1)
-        mats = np.eye(m) - flat[:, None, None] * T
-        rhs = np.broadcast_to(t[:, None], (flat.size, m, 1))
-        try:
-            sols = np.linalg.solve(mats, rhs)[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise PoleError(f"singular resolvent: {exc}") from exc
-        return (flat * (sols @ alpha)).reshape(shape)
+        x = np.asarray(f1_over_f2.lst(s1) * g0.lst(s2), dtype=complex)
+        return polyval(x, pgf[0]) / polyval(x, pgf[1])
 
     # per-visit increments are iid across states, so (B, A) depends on the
     # chain only through the visit count kappa, a discrete phase-type
@@ -661,19 +652,16 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
         a = np.add.reduceat(g0.sample(rng, total), starts)
         return b, a
 
-    # kernel: with x = (n_f/d_f)(s1) g0(s2), clearing d_f^m gives
-    #   h2 = sum_k cs[k] (n_f g0)^k d_f^(m-k),   h1 = sum_j gam[j] (n_f g0)^(j+1) d_f^(m-1-j)
-    cs, Ms = _faddeev_leverrier(T)
-    gam = np.array([alpha @ M @ t for M in Ms])
+    # kernel: with x = (n_f/d_f)(s1) g0(s2), clearing d_f^m turns each of N
+    # and D into sum_k c[k] (n_f g0)^k d_f^(m-k); row k of W holds the s1
+    # coefficients of n_f^k d_f^(m-k), and N[0] = 0 keeps deg h1 below n
     n_f, d_f = f_rat
     lead = d_f[0]
     n_f = np.asarray(n_f, dtype=float) / lead
     d_f = np.asarray(d_f, dtype=float) / lead
     n = m * (len(d_f) - 1)
-    W2 = np.stack([_pad_to(np.polymul(_poly_pow(n_f, k), _poly_pow(d_f, m - k)), n + 1)
-                   for k in range(m + 1)])
-    W1 = np.stack([_pad_to(np.polymul(_poly_pow(n_f, j + 1), _poly_pow(d_f, m - 1 - j)), n)
-                   for j in range(m)])
+    W = np.stack([_pad_to(np.polymul(_poly_pow(n_f, k), _poly_pow(d_f, m - k)), n + 1)
+                  for k in range(m + 1)])
 
     def _coeff(col, weights):
         # sum_k weights[k] * col[k] * g0(s2)^k as a function of s2
@@ -681,31 +669,14 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
 
         def fn(s2, c_asc=c_asc):
             g = np.asarray(g0.lst(s2), dtype=complex)
-            return np.polynomial.polynomial.polyval(g, c_asc)
+            return polyval(g, c_asc)
         return fn
 
-    h2 = tuple(_coeff(W2[:, i], cs) for i in range(n + 1))
-    h1 = tuple(_coeff(np.concatenate([[0.0], W1[:, i]]), np.concatenate([[0.0], gam]))
-               for i in range(n))
-
-    clear_fn = None
+    h2 = tuple(_coeff(W[:, i], pgf[1]) for i in range(n + 1))
+    h1 = tuple(_coeff(W[:, i], pgf[0]) for i in range(1, n + 1))
     g_rat = g0.rational()
-    if g_rat is not None:
-        g_num, g_den = g_rat
-
-        def clear_fn(z, s):
-            u = np.polymul(n_f, _poly_sub_s_minus_xi(g_num, s))
-            v = np.polymul(d_f, _poly_sub_s_minus_xi(g_den, s))
-            acc = np.array([0.0 + 0j])
-            for k in range(m + 1):
-                term = cs[k] * np.polymul(_poly_pow(u, k), _poly_pow(v, m - k))
-                acc = np.polyadd(acc, term)
-            for j in range(m):
-                term = z * gam[j] * np.polymul(_poly_pow(u, j + 1), _poly_pow(v, m - 1 - j))
-                acc = np.polysub(acc, term)
-            return acc
-
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, degree=n, clear_fn=clear_fn)
+    clear_fn = None if g_rat is None else _cleared(pgf, n_f, d_f, g_rat)
+    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, clear_fn=clear_fn)
     return IncrementModel(
         kind="markov_modulated", lst=lst, sampler=sampler,
         mean_b=visits * f1_over_f2.mean, mean_a=visits * g0.mean, rational=kernel,

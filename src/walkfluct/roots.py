@@ -352,8 +352,7 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
         est_noise = np.r_[kid_noise[:n][~ok], kid_noise[n:][~ok]]
         F.gap = abs(total[0] + est[:, 0].sum() - count)
     if F.gap > 1e-6:
-        raise CountMismatch(f"moment p_0 misses the enclosing count {count} by {F.gap:.3g}",
-                            expected=count, found=round(total[0].real))
+        raise CountMismatch(f"moment p_0 misses the enclosing count {count} by {F.gap:.3g}")
     return center + scale * _roots_from_power_sums(total)
 
 
@@ -443,14 +442,12 @@ def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tu
         elif m > 1:
             local = tuple(c0 + radius * _roots_from_power_sums(fine[:m + 1]))
             if max(abs(r - c0) for r in local) >= radius:
-                raise CountMismatch(f"power-sum roots leave the disc about {c0:.8g}",
-                                    expected=m, found=0)
+                raise CountMismatch(f"power-sum roots leave the disc about {c0:.8g}")
             err = 2.0 * np.abs(fine - coarse) + 1e-13  # the level gap, doubled
             clusters.append(RootCluster(c0, radius, local, tuple(fine[1:]), tuple(err[1:])))
             out.extend(local)
     if len(out) != count:
-        raise CountMismatch(f"root discs hold {len(out)} zeros, the rectangle {count}",
-                            expected=count, found=len(out))
+        raise CountMismatch(f"root discs hold {len(out)} zeros, the rectangle {count}")
     return out, tuple(clusters)
 
 
@@ -492,7 +489,7 @@ def _locate(F, kernel: RationalKernel, z: complex, s: complex,
     """Polished left zeros of F and the clusters among them."""
     if kernel.clear_fn is None:
         return _moment_roots(F, kernel, z, s, scale)
-    poly = _trim_poly(kernel.clear(z, s))
+    poly = _trim_poly(kernel.clear_fn(z, s))
     roots = np.roots(poly) if len(poly) > 1 else np.array([])
     refined = [_newton(F, complex(r), scale) for r in roots if r.real < -_AXIS_TOL]
     return [r for r in refined if r.real < -_AXIS_TOL], ()
@@ -537,14 +534,11 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     n_ap, radius = _stable_count(F, radius, eps)
     if n_ap != len(refined):
         raise CountMismatch(
-            f"located {len(refined)} roots but the argument principle counts {n_ap}",
-            expected=n_ap, found=len(refined))
+            f"located {len(refined)} roots but the argument principle counts {n_ap}")
     residuals = tuple(abs(complex(F(r))) for r in refined)
     bad = [r for r, res in zip(refined, residuals) if res >= 1e-8 * scale]
     if bad:
-        raise CountMismatch(
-            f"root {bad[0]:.8g} failed residual certification", expected=n_ap,
-            found=len(refined) - len(bad))
+        raise CountMismatch(f"root {bad[0]:.8g} failed residual certification")
     return RootReport(roots=tuple(refined), residuals=residuals,
                       count_argument_principle=n_ap,
                       contour_radius=radius, contour_offset_eps=eps,

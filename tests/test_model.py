@@ -87,26 +87,56 @@ def test_threshold_restricted_transform_split(models):
             assert lst_eval(thr, s1, s2) == pytest.approx(want, abs=1e-13)
 
 
-def test_markov_lst_matches_geometric_series(models):
+def _random_chain(m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    alpha = rng.dirichlet(np.ones(m))
+    T = rng.random((m, m))
+    T *= rng.uniform(0.2, 0.8, (m, 1)) / T.sum(axis=1, keepdims=True)
+    return alpha, T, 1.0 - T.sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3], ids=["builtin", "m1", "m2", "m3"])
+def test_markov_lst_matches_geometric_series(models, m):
     # condition on the visit count kappa: h = sum_k P(kappa = k) x^k with
-    # x = f(s1) g(s2); the chain is small enough to sum directly
-    mar = models["markov_2state"]
-    alpha = np.array([0.6, 0.4])
-    T = np.array([[0.3, 0.2], [0.1, 0.4]])
-    t = np.array([0.5, 0.5])
-    for s1, s2 in [(0.5, 0.7), (1.0, 0.2), (0.9 + 0.3j, 0.4)]:
+    # x = f(s1) g(s2); the chains are small enough to sum directly.  The
+    # resolvent x alpha (I - xT)^{-1} t, solved directly, is a second reference
+    if m == 0:
+        mar = models["markov_2state"]
+        alpha, T = np.array([0.6, 0.4]), np.array([[0.3, 0.2], [0.1, 0.4]])
+        t = np.array([0.5, 0.5])
+    else:
+        alpha, T, t = _random_chain(m, seed=10 + m)
+        mar = build_markov_modulated(alpha, T, t, Exponential(5.0), Exponential(2.0))
+    # the last point has Re s1 < 0, inside the kernel continuation
+    for s1, s2 in [(0.5, 0.7), (1.0, 0.2), (0.9 + 0.3j, 0.4), (0.5 + 0.2j, 0.7 - 0.4j),
+                   (1.0 - 2.0j, 0.2 + 3.0j), (-0.4 + 0.3j, 0.2 + 0.1j)]:
         x = (5.0 / (5.0 + s1)) * (2.0 / (2.0 + s2))
         acc, probs = 0j, alpha.copy()
         for k in range(1, 400):
             acc += (probs @ t) * x ** k
             probs = probs @ T
-        assert lst_eval(mar, s1, s2) == pytest.approx(acc, abs=1e-12)
+        got = lst_eval(mar, s1, s2)
+        assert got == pytest.approx(acc, abs=1e-12)
+        want = x * alpha @ np.linalg.solve(np.eye(len(alpha)) - x * T, t)
+        assert abs(got - want) <= 1e-13
 
 
 def test_single_state_markov_reduces_to_product():
     one = build_markov_modulated([1.0], [[0.0]], [1.0],
                                  Exponential(5.0), Exponential(2.0))
     assert lst_eval(one, 0.7, 0.9) == pytest.approx((5 / 5.7) * (2 / 2.9), abs=1e-12)
+
+
+def test_markov_sampler_simulates_slow_chains():
+    # the visit count kappa of this chain has tail 4.1e-12 after 65,536 terms,
+    # too heavy to tabulate, so the sampler walks the chain instead
+    mdl = build_markov_modulated([1.0], [[0.9996]], [0.0004],
+                                 Exponential(6.25), Exponential(2.0))
+    assert mdl.mean_b == pytest.approx(400.0, rel=1e-9)
+    b, a = mdl.sampler(np.random.default_rng(3), 2000)
+    assert abs(b.mean() - mdl.mean_b) < 4.0 * b.std() / math.sqrt(b.size)
+    b2, a2 = mdl.sampler(np.random.default_rng(3), 2000)
+    assert np.array_equal(b, b2) and np.array_equal(a, a2)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -122,7 +152,7 @@ def test_kernel_ratio_matches_lst(models, name):
 def test_cleared_polynomial_roots_solve_kernel(models, name):
     ker = models[name].rational
     z, s = 0.5, 0.7
-    roots = np.roots(ker.clear(z, s))
+    roots = np.roots(ker.clear_fn(z, s))
     left = [r for r in roots if r.real < -1e-9]
     assert len(left) == ker.degree
     for r in left:
@@ -132,7 +162,7 @@ def test_cleared_polynomial_roots_solve_kernel(models, name):
 def test_mm1_cleared_root_closed_form(models):
     z, s = 0.5, 0.5
     want = ((1 + s - 2) - math.sqrt((1 + 2 + s) ** 2 - 4 * z * 2)) / 2
-    roots = np.roots(models["product_mm1"].rational.clear(z, s))
+    roots = np.roots(models["product_mm1"].rational.clear_fn(z, s))
     got = min(roots, key=lambda r: abs(r - want))
     assert got == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(-1.6861406616345072, abs=1e-12)
@@ -208,12 +238,13 @@ def test_kernel_validation():
     one = lambda s2: 1.0
     half = lambda s2: 0.5
     with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one), degree=0)
+        RationalKernel(h1_coeffs=(), h2_coeffs=(one,))  # degree 0
     with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(half, half), h2_coeffs=(one, one), degree=1)
+        RationalKernel(h1_coeffs=(half, half), h2_coeffs=(one, one))
     with pytest.raises(InvalidSpec):
         # leading h2 coefficient must be the constant 1
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one), degree=1)
+        RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one))
+    assert RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one)).degree == 1
 
 
 def test_lst_eval_domain_guards(models):
@@ -259,6 +290,17 @@ def test_mean_fields_match_closed_forms(models):
     p_below = 1 - math.exp(-1.0)
     assert thr.mean_b == pytest.approx(p_below / 3 + (1 - p_below) / 1.2, abs=1e-12)
     assert thr.mean_a == pytest.approx(1.0, abs=1e-12)
+    # mean_b weighs the two B laws by P(A <= l), read off the a-law
+    f1, f2, l = Exponential(3.0), Erlang(2, 4.0), 1.0
+    for a_law, p_below in [
+        (Erlang(2, 2.0), 1 - math.exp(-2.0) * (1 + 2.0)),
+        (Hyperexponential((0.3, 0.7), (1.0, 4.0)), 1 - 0.3 * math.exp(-1.0) - 0.7 * math.exp(-4.0)),
+        (Deterministic(0.8), 1.0),
+        (Deterministic(1.3), 0.0),
+        (Uniform(0.2, 1.8), 0.5),
+    ]:
+        thr = build_threshold_model(f1, f2, a_law, l)
+        assert thr.mean_b == pytest.approx(p_below / 3 + (1 - p_below) * 0.5, abs=1e-12)
     mar = models["markov_2state"]
     visits = np.array([0.6, 0.4]) @ np.linalg.inv(
         np.eye(2) - np.array([[0.3, 0.2], [0.1, 0.4]])) @ np.ones(2)
