@@ -7,133 +7,14 @@ overshoot) and of the running maximum, by contour quadrature for general
 kernels and by root products for rational ones, with Monte Carlo cross-checks.
 """
 
-from .contour import (
-    ContourSpec,
-    TransformValue,
-    pv_axis,
-    pv_axis_singular,
-)
-from .errors import (
-    CountMismatch,
-    DomainError,
-    EvalError,
-    HoelderSuspect,
-    InvalidSpec,
-    NoConvergence,
-    NonIntegerWinding,
-    ParseError,
-    PoleError,
-    PreconditionViolated,
-    StabilityError,
-    UnsupportedModel,
-    WalkfluctError,
-    ZeroOnContour,
-)
-from .fluct import (
-    WalkFunctionals,
-    busy_period_rational,
-    busy_period_transform,
-    first_descent_transform,
-    geometric_limit,
-    idle_period_transform,
-    invert_to_distribution,
-    max_transform_rational,
-    steps_pgf,
-    steps_pgf_rational,
-    transient_max_transform,
-    walk_functionals,
-    wienerhopf_factors,
-)
-from .model import (
-    Deterministic,
-    DistributionSpec,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    IncrementModel,
-    RationalKernel,
-    Uniform,
-    build_markov_modulated,
-    build_product_model,
-    build_threshold_model,
-    builtin_models,
-    increment_char,
-    lst_eval,
-)
-from .oracle import (
-    AtomicMeasure2D,
-    BVFunctionSpec,
-    MCEstimate,
-    default_cap,
-    estimate_functional,
-    max_n_estimate,
-    spitzer_series,
-    verify_hewitt_discrete,
-)
-from .roots import (
-    RootReport,
-    count_left_zeros,
-    find_kernel_roots,
-    verify_rouche,
-)
+from . import contour, errors, fluct, model, oracle, roots
+from .contour import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .fluct import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .roots import *  # noqa: F401,F403
 
-__all__ = [
-    "AtomicMeasure2D",
-    "BVFunctionSpec",
-    "ContourSpec",
-    "CountMismatch",
-    "Deterministic",
-    "DistributionSpec",
-    "DomainError",
-    "Erlang",
-    "EvalError",
-    "Exponential",
-    "HoelderSuspect",
-    "Hyperexponential",
-    "IncrementModel",
-    "InvalidSpec",
-    "MCEstimate",
-    "NoConvergence",
-    "NonIntegerWinding",
-    "ParseError",
-    "PoleError",
-    "PreconditionViolated",
-    "RationalKernel",
-    "RootReport",
-    "StabilityError",
-    "TransformValue",
-    "Uniform",
-    "UnsupportedModel",
-    "WalkFunctionals",
-    "WalkfluctError",
-    "ZeroOnContour",
-    "build_markov_modulated",
-    "build_product_model",
-    "build_threshold_model",
-    "builtin_models",
-    "busy_period_rational",
-    "busy_period_transform",
-    "count_left_zeros",
-    "default_cap",
-    "estimate_functional",
-    "find_kernel_roots",
-    "first_descent_transform",
-    "geometric_limit",
-    "idle_period_transform",
-    "increment_char",
-    "invert_to_distribution",
-    "lst_eval",
-    "max_n_estimate",
-    "max_transform_rational",
-    "pv_axis",
-    "pv_axis_singular",
-    "spitzer_series",
-    "steps_pgf",
-    "steps_pgf_rational",
-    "transient_max_transform",
-    "verify_hewitt_discrete",
-    "verify_rouche",
-    "walk_functionals",
-    "wienerhopf_factors",
-]
+__all__ = (contour.__all__ + errors.__all__ + fluct.__all__ + model.__all__
+           + oracle.__all__ + roots.__all__)
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ CSV.  WALKFLUCT_THREADS caps the grid-sweep thread pool.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -59,13 +60,8 @@ _DEFAULT_S = (0.5, 1.0, 2.0)
 
 # --- model files -----------------------------------------------------------
 
-_FAMILIES = {
-    "exponential": (Exponential, ("rate",)),
-    "erlang": (Erlang, ("shape", "rate")),
-    "hyperexponential": (Hyperexponential, ("probs", "rates")),
-    "deterministic": (Deterministic, ("value",)),
-    "uniform": (Uniform, ("lo", "hi")),
-}
+_FAMILIES = {cls.__name__.lower(): cls
+             for cls in (Exponential, Erlang, Hyperexponential, Deterministic, Uniform)}
 
 
 def _need(mapping, key, context=""):
@@ -80,11 +76,11 @@ def _parse_law(node, context) -> DistributionSpec:
     if family not in _FAMILIES:
         raise ParseError(f"unknown family '{family}' in {context}; "
                          f"expected one of {sorted(_FAMILIES)}", field="family")
-    ctor, keys = _FAMILIES[family]
+    ctor = _FAMILIES[family]
     kwargs = {}
-    for key in keys:
-        raw = _need(node, key, context)
-        kwargs[key] = tuple(raw) if isinstance(raw, (list, tuple)) else raw
+    for field in dataclasses.fields(ctor):
+        raw = _need(node, field.name, context)
+        kwargs[field.name] = tuple(raw) if isinstance(raw, (list, tuple)) else raw
     try:
         return ctor(**kwargs)
     except (TypeError, ValueError, InvalidSpec) as err:

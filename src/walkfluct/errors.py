@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "WalkfluctError", "DomainError", "PoleError", "UnsupportedModel", "InvalidSpec",
+    "NoConvergence", "EvalError", "ZeroOnContour", "NonIntegerWinding",
+    "CountMismatch", "PreconditionViolated", "StabilityError", "ParseError",
+    "HoelderSuspect",
+]
+
 
 class WalkfluctError(Exception):
     """Base class for all package-specific errors."""

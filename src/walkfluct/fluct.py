@@ -1,9 +1,10 @@
 """Fluctuation transforms of the reflected walk and its first descent.
 
-Every functional is available through two engines.  The contour engine turns
-the principal-value representations into quadrature on the imaginary axis and
-works for any model; the rational engine multiplies out left-root products and
-is exact (up to root residuals) for models carrying a RationalKernel.  The
+There are two engines.  The contour engine turns the principal-value
+representations into quadrature on the imaginary axis and works for any
+model and every functional; the rational engine multiplies out left-root
+products and is exact (up to root residuals) for models carrying a
+RationalKernel, for busy, steps and the maximum but not yet idle.  The
 orientation of the axis integrals, including the sign of the semicircular
 correction, is frozen by convention tests against the M/M/1 closed forms.
 

@@ -567,6 +567,25 @@ def _faddeev_leverrier(T: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return cs, Ms
 
 
+def _kappa_cdf(alpha: np.ndarray, T: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """Cdf table of the visit count, P(kappa = k) = alpha T^(k-1) t.
+
+    The table stops at the first k whose tail alpha T^k 1 is below 1e-16,
+    read from the propagated row vector rather than from 1 - sum p_k, which
+    rounding would stall; None when that takes more than 65,536 terms (a
+    near-critical chain, left to path simulation).
+    """
+    pmf, v = [], alpha
+    while len(pmf) < 65536:
+        pmf.append(float(v @ t))
+        v = v @ T
+        if v.sum() < 1e-16:
+            cdf = np.cumsum(pmf)
+            cdf[-1] = 1.0
+            return cdf
+    return None
+
+
 def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
                            g0: DistributionSpec, label: str = "") -> IncrementModel:
     """Chain-modulated sum: kappa visits of a transient chain, each visit
@@ -608,24 +627,8 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
         return polyval(x, pgf[0]) / polyval(x, pgf[1])
 
     # per-visit increments are iid across states, so (B, A) depends on the
-    # chain only through the visit count kappa, a discrete phase-type
-    # variable with P(kappa = k) = alpha T^(k-1) t; tabulate its cdf to
-    # double precision when the tail decays fast enough
-    _pmf = []
-    _v = alpha.copy()
-    _tail = 1.0
-    while len(_pmf) < 65536:
-        pk = float(_v @ t)
-        _pmf.append(pk)
-        _tail -= pk
-        if _tail < 1e-16:
-            break
-        _v = _v @ T
-    if _tail < 1e-16:
-        kappa_cdf = np.cumsum(_pmf)
-        kappa_cdf[-1] = 1.0
-    else:
-        kappa_cdf = None  # near-critical chain, fall back to path simulation
+    # chain only through the visit count kappa
+    kappa_cdf = _kappa_cdf(alpha, T, t)
 
     def _visit_counts(rng, size):
         if kappa_cdf is not None:

@@ -546,13 +546,10 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
 
 
 def verify_rouche(kernel: RationalKernel, z: complex, s: complex) -> tuple[int, int, bool]:
-    """Independent left-zero counts of h2(xi, s-xi) and of the z-shifted kernel."""
-    z, s = complex(z), complex(s)
-    _check_count_domain(z, s, None)
-    counts = []
-    for zz in (0.0, z):
-        F = _shifted(kernel, zz, s)
-        scale = max(1.0, abs(complex(F(0.0))))
-        eps, radius = _contour_params(_locate(F, kernel, zz, s, scale)[0])
-        counts.append(_stable_count(F, radius, eps)[0])
-    return counts[0], counts[1], counts[0] == counts[1]
+    """Certified left-zero counts of h2(xi, s-xi) and of the z-shifted kernel.
+
+    Each count comes from find_kernel_roots, so the located roots and their
+    residuals are checked against it as well."""
+    n_z, n_h2 = (find_kernel_roots(kernel, zz, s).count_argument_principle
+                 for zz in (z, 0.0))
+    return n_h2, n_z, n_h2 == n_z

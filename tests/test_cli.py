@@ -18,6 +18,9 @@ import walkfluct
 from walkfluct.cli import emit_csv, load_model, random_atomic_measure, run
 from walkfluct.errors import ParseError
 from walkfluct.fluct import busy_period_rational, walk_functionals
+from walkfluct.model import (
+    Deterministic, Erlang, Exponential, Hyperexponential, Uniform, build_product_model,
+)
 
 import numpy as np
 
@@ -116,6 +119,25 @@ def test_load_model_parse_errors(tmp_path, text):
     p.write_text(text)
     with pytest.raises(ParseError):
         load_model(str(p))
+
+
+@pytest.mark.parametrize("node,law", [
+    ("{family: exponential, rate: 2.5}", Exponential(2.5)),
+    ("{family: erlang, shape: 3, rate: 6.0}", Erlang(3, 6.0)),
+    ("{family: hyperexponential, probs: [0.3, 0.7], rates: [1.0, 4.0]}",
+     Hyperexponential((0.3, 0.7), (1.0, 4.0))),
+    ("{family: deterministic, value: 0.4}", Deterministic(0.4)),
+    ("{family: uniform, lo: 0.1, hi: 0.9}", Uniform(0.1, 0.9)),
+], ids=["exponential", "erlang", "hyperexponential", "deterministic", "uniform"])
+def test_load_model_every_family(tmp_path, node, law):
+    p = tmp_path / "law.yaml"
+    p.write_text(f"schema_version: 1\nkind: product\nb: {node}\n"
+                 "a: {family: exponential, rate: 1.0}\n")
+    loaded = load_model(str(p))
+    direct = build_product_model(law, Exponential(1.0))
+    for s in (0.7, 0.3 + 1.2j):
+        assert loaded.lst(s, 0.0) == direct.lst(s, 0.0)
+    assert loaded.mean_b == direct.mean_b
 
 
 def test_load_model_missing_file(tmp_path):

@@ -13,6 +13,7 @@ from walkfluct.model import (
     Hyperexponential,
     RationalKernel,
     Uniform,
+    _kappa_cdf,
     build_markov_modulated,
     build_product_model,
     build_threshold_model,
@@ -137,6 +138,19 @@ def test_markov_sampler_simulates_slow_chains():
     assert abs(b.mean() - mdl.mean_b) < 4.0 * b.std() / math.sqrt(b.size)
     b2, a2 = mdl.sampler(np.random.default_rng(3), 2000)
     assert np.array_equal(b, b2) and np.array_equal(a, a2)
+
+
+def test_kappa_cdf_stops_on_the_true_tail():
+    # the tail alpha T^k 1 is read directly; 1 - sum p_k would stall near
+    # 1e-16 from rounding and run a geometric(0.01) count to the table's cap
+    cdf = _kappa_cdf(np.array([1.0]), np.array([[0.99]]), np.array([0.01]))
+    assert len(cdf) == 3666 and cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0)
+    # the tail 0.9995^k stays above 1e-16 past the 65,536-term cap: no table
+    assert _kappa_cdf(np.array([1.0]), np.array([[0.9995]]), np.array([0.0005])) is None
+    two = _kappa_cdf(np.array([0.6, 0.4]), np.array([[0.3, 0.2], [0.1, 0.4]]),
+                     np.array([0.5, 0.5]))
+    assert len(two) == 54
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
