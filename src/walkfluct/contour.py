@@ -14,12 +14,15 @@ Re s > 0, exactly as residue calculus over the left half-plane predicts.
 Densities decaying faster than 1/|xi| have c1 = 0 and the correction drops
 out.  The limit is taken by one fixed ladder: truncations at T, 2T and 4T,
 nested so that every node is evaluated once, then 1/T-Richardson
-extrapolation.  ``pv_axis_singular`` handles the additional on-axis
-singularity of Cauchy densities phi(xi)/(xi - s) by the subtraction trick.
+extrapolation.  Each node count's Gauss-Legendre rule is built once per
+process and shared with ``roots``, so a call costs its density evaluations.
+``pv_axis_singular`` handles the additional on-axis singularity of Cauchy
+densities phi(xi)/(xi - s) by the subtraction trick.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,8 +93,7 @@ def _panel_edges(lo: float, hi: float, refine_near: tuple[float, float] | None) 
     pole at distance ~scale from the axis needs.  Pairing folds the two
     half-axes onto the positive one, hence the abs().
     """
-    n = max(1, math.ceil(hi - lo))
-    edges = set(np.linspace(lo, hi, n + 1).tolist())
+    edges = np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1)
     if refine_near is not None:
         y0, scale = abs(refine_near[0]), abs(refine_near[1])
         if 0.0 < scale < 1.0:
@@ -101,8 +103,9 @@ def _panel_edges(lo: float, hi: float, refine_near: tuple[float, float] | None) 
                 pts.append(y0 - off)
                 pts.append(y0 + off)
                 off *= 2.0
-            edges.update(p for p in pts if lo < p < hi)
-    out = np.array(sorted(edges))
+            pts = np.array(pts)
+            edges = np.concatenate((edges, pts[(lo < pts) & (pts < hi)]))
+    out = np.unique(edges)
     keep = np.concatenate(([True], np.diff(out) > 1e-12 * max(hi, 1.0)))
     return out[keep]
 
@@ -128,6 +131,17 @@ def _eval_density(density, xi: np.ndarray) -> np.ndarray:
     return vals
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Built once per n and read-only, so every caller shares one copy.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _band(density, lo: float, hi: float, nodes: int,
           refine_near: tuple[float, float] | None) -> np.ndarray:
     """Quadrature terms of the density on the two axis bands lo <= |Im xi| <= hi.
@@ -135,7 +149,7 @@ def _band(density, lo: float, hi: float, nodes: int,
     The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.
     """
     edges = _panel_edges(lo, hi, refine_near)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import _eval_density
+from .contour import _eval_density, _gauss_legendre
 from .errors import (
     CountMismatch,
     NoConvergence,
@@ -276,10 +276,10 @@ _ORDER = 24              # power sums kept per root disc
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """16-point Gauss-Legendre nodes and weights, and the matrix taking values
     at the nodes to the derivative of their interpolant."""
-    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = _gauss_legendre(16)
     gaps = x[:, None] - x + np.eye(16)
     bary = 1.0 / np.prod(gaps, axis=1)
     D = bary / bary[:, None] / gaps
@@ -322,7 +322,7 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
     1e-6 of the winding count.
     """
     center, scale = complex(x0 + x1, y0 + y1) / 2, abs(complex(x1 - x0, y1 - y0)) / 2
-    nodes, weights, D = _gauss_legendre()
+    nodes, weights, D = _moment_rule()
     spread = np.abs(D).sum(axis=1) * weights * noise  # weighted error of F' from noise
 
     def moments(a, b):

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from walkfluct import contour
 from walkfluct.contour import (
     ContourSpec,
     TransformValue,
     _band,
+    _panel_edges,
     pv_axis,
     pv_axis_singular,
 )
@@ -125,6 +127,79 @@ def test_ladder_evaluates_each_node_once():
 
     pv_axis(dens, ContourSpec(T=120.0, nodes=24), asymptotic_coeff=1.0)
     assert sum(seen) == 2 * 480 * 24 == 23_040
+
+
+@pytest.mark.parametrize("refine_near, points", [
+    (None, 2 * 24 * 480),
+    ((30.5, 1e-3), 24_528),  # 31 panels more than the plain layout
+])
+def test_node_layout_point_count(refine_near, points):
+    count = 0
+
+    def dens(xi):
+        nonlocal count
+        count += xi.size
+        return 1.0 / (xi - (-1e-3 + 30.5j))
+
+    pv_axis(dens, ContourSpec(), asymptotic_coeff=1.0, refine_near=refine_near)
+    assert count == points
+
+
+def _panel_edges_by_set(lo, hi, refine_near):
+    # the set-and-sort construction the array version replaced
+    n = max(1, math.ceil(hi - lo))
+    edges = set(np.linspace(lo, hi, n + 1).tolist())
+    if refine_near is not None:
+        y0, scale = abs(refine_near[0]), abs(refine_near[1])
+        if 0.0 < scale < 1.0:
+            pts = [y0]
+            off = scale / 16.0
+            while off <= 2.0:
+                pts.append(y0 - off)
+                pts.append(y0 + off)
+                off *= 2.0
+            edges.update(p for p in pts if lo < p < hi)
+    out = np.array(sorted(edges))
+    keep = np.concatenate(([True], np.diff(out) > 1e-12 * max(hi, 1.0)))
+    return out[keep]
+
+
+def test_panel_edges_match_set_construction():
+    rng = np.random.default_rng(7)
+    cases = [(0.0, 120.0, None), (120.0, 240.0, None), (0.0, 0.5, None)]
+    for _ in range(300):
+        lo = float(rng.choice([0.0, 120.0, 240.0, rng.uniform(0.0, 50.0)]))
+        hi = lo + float(rng.choice([120.0, 240.0, rng.uniform(0.1, 30.0)]))
+        y0 = float(rng.choice([
+            lo, hi,                                            # on an end
+            lo + rng.uniform(-1e-13, 1e-13), hi + rng.uniform(-1e-13, 1e-13),
+            rng.uniform(lo, hi),
+            hi + rng.uniform(0.0, 3.0),                        # beyond hi
+        ]))
+        scale = float(rng.choice([0.0, rng.uniform(1e-4, 1.0), 10 ** rng.uniform(-6, 0),
+                                  2.0 ** -int(rng.integers(1, 20)), 1.0, rng.uniform(1.0, 5.0)]))
+        # refinement points landing on or next to an end: y0 +- off = lo or hi
+        if rng.random() < 0.3 and 0.0 < scale < 1.0:
+            off = scale / 16.0 * 2.0 ** int(rng.integers(0, 5))
+            y0 = float(rng.choice([lo + off, hi - off, hi + off])) + float(
+                rng.choice([0.0, 1e-13, -1e-13]))
+        cases.append((lo, hi, (float(rng.choice([y0, -y0])), float(rng.choice([scale, -scale])))))
+    for lo, hi, refine_near in cases:
+        assert np.array_equal(_panel_edges(lo, hi, refine_near),
+                              _panel_edges_by_set(lo, hi, refine_near)), (lo, hi, refine_near)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_gauss_legendre_rule_is_shared_and_read_only(n):
+    x, w = contour._gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    assert contour._gauss_legendre(n)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
 
 
 def test_singular_requires_axis_point(spec):

@@ -1,6 +1,7 @@
 """Increment models: transforms, kernels, samplers, constructors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from walkfluct.model import (
     Hyperexponential,
     RationalKernel,
     Uniform,
+    _em,
     _kappa_cdf,
     build_markov_modulated,
     build_product_model,
@@ -224,6 +226,34 @@ def test_restricted_transforms_reassemble(law):
     tot = law.lower_lst(s, 1.1) + law.upper_lst(s, 1.1)
     full = complex(np.asarray(law.lst(s)).reshape(()))
     assert tot == pytest.approx(full, abs=1e-12)
+
+
+def _em_by_branches(w):
+    # (1 - e^{-w})/w with the two branches split by masks before evaluation
+    w = np.asarray(w, dtype=complex)
+    out = np.empty_like(w)
+    small = np.abs(w) < 1e-2
+    ws = w[small]
+    acc = np.zeros_like(ws)
+    for k in range(7, -1, -1):
+        acc = acc * (-ws) + 1.0 / math.factorial(k + 1)
+    out[small] = acc
+    wb = w[~small]
+    out[~small] = (1.0 - np.exp(-wb)) / wb
+    return out
+
+
+def test_em_at_zero_and_on_both_branches():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _em(0.0)
+    assert one == 1.0 and one.shape == ()
+    assert _em(0.3 - 0.2j).shape == ()
+    radii = 1e-2 * np.array([0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 100.0, 4000.0])
+    w = np.concatenate([[0.0], np.outer(radii, np.exp(1j * np.linspace(-np.pi, np.pi, 13))).ravel()])
+    assert np.array_equal(_em(w), _em_by_branches(w))
+    grid = w[1:].reshape(7, 13)
+    assert np.array_equal(_em(grid), _em_by_branches(grid))
 
 
 def test_shared_atom_rejected():
