@@ -77,8 +77,9 @@ class DistributionSpec:
     """Base for the built-in nonnegative increment families.
 
     Subclasses provide the transform on Re s > abscissa, the mean, an exact
-    sampler, the transforms restricted to {X <= l} and {X > l}, and the
-    (num, den) polynomial pair when the transform is rational.
+    sampler, lower_lst, the one restricted transform (the part on {X > l}
+    is lst - lower_lst), and the (num, den) polynomial pair when the
+    transform is rational.
     """
 
     abscissa: float = -math.inf
@@ -95,10 +96,6 @@ class DistributionSpec:
 
     def lower_lst(self, s, l: float):
         """E[e^{-sX}; X <= l]; entire in s (finite-interval integral)."""
-        raise NotImplementedError
-
-    def upper_lst(self, s, l: float):
-        """E[e^{-sX}; X > l]; same abscissa as the full transform."""
         raise NotImplementedError
 
     def rational(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -133,11 +130,6 @@ class Exponential(DistributionSpec):
         w = (self.rate + np.asarray(s, dtype=complex)) * l
         return self.rate * l * _em(w)
 
-    def upper_lst(self, s, l):
-        s = np.asarray(s, dtype=complex)
-        w = self.rate + s
-        return self.rate / w * np.exp(-w * l)
-
     def rational(self):
         return np.array([self.rate]), np.array([1.0, self.rate])
 
@@ -167,10 +159,6 @@ class Erlang(DistributionSpec):
     def lower_lst(self, s, l):
         s = np.asarray(s, dtype=complex)
         return self.lst(s) * _lower_reg_gamma(self.shape, (self.rate + s) * l)
-
-    def upper_lst(self, s, l):
-        s = np.asarray(s, dtype=complex)
-        return self.lst(s) * (1.0 - _lower_reg_gamma(self.shape, (self.rate + s) * l))
 
     def rational(self):
         return (np.array([self.rate ** self.shape]),
@@ -212,10 +200,6 @@ class Hyperexponential(DistributionSpec):
         return sum(p * Exponential(r).lower_lst(s, l)
                    for p, r in zip(self.probs, self.rates))
 
-    def upper_lst(self, s, l):
-        return sum(p * Exponential(r).upper_lst(s, l)
-                   for p, r in zip(self.probs, self.rates))
-
     def rational(self):
         den = np.poly([-r for r in self.rates])
         num = np.zeros(len(self.rates), dtype=float)
@@ -247,10 +231,6 @@ class Deterministic(DistributionSpec):
         shape = np.asarray(s, dtype=complex)
         return self.lst(s) if self.value <= l else np.zeros_like(shape)
 
-    def upper_lst(self, s, l):
-        shape = np.asarray(s, dtype=complex)
-        return self.lst(s) if self.value > l else np.zeros_like(shape)
-
     def atom_values(self):
         return (self.value,)
 
@@ -280,9 +260,6 @@ class Uniform(DistributionSpec):
         c = min(max(l, self.lo), self.hi)
         frac = (c - self.lo) / (self.hi - self.lo)
         return frac * np.exp(-s * self.lo) * _em(s * (c - self.lo))
-
-    def upper_lst(self, s, l):
-        return self.lst(s) - self.lower_lst(s, l)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +485,9 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
                           label: str = "") -> IncrementModel:
     """B drawn from f1's law while A <= l and from f2's law once A > l.
 
-    h(s1, s2) = f1(s1)*a1(s2) + f2(s1)*a2(s2) with a1/a2 the transforms of A
-    restricted to [0, l] and (l, inf).
+    h(s1, s2) = f2(s1)*a(s2) + (f1(s1) - f2(s1))*a_le(s2), with a the
+    transform of A and a_le = a_law.lower_lst its restriction to [0, l]; the
+    kernel's h1 coefficients take the same split.
     """
     if not (math.isfinite(l) and l > 0):
         raise InvalidSpec("threshold l must be positive and finite")
@@ -519,7 +497,8 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     p_low = float(np.real(a_law.lower_lst(0.0, l)))
 
     def lst(s1, s2):
-        return f1.lst(s1) * a_law.lower_lst(s2, l) + f2.lst(s1) * a_law.upper_lst(s2, l)
+        f2v = f2.lst(s1)
+        return f2v * a_law.lst(s2) + (f1.lst(s1) - f2v) * a_law.lower_lst(s2, l)
 
     def sampler(rng, size):
         a = a_law.sample(rng, size)
@@ -534,8 +513,8 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     c1 = _pad_to(np.polymul(n1, d2), n)
     c2 = _pad_to(np.polymul(n2, d1), n)
     h1 = tuple(
-        (lambda s2, u=complex(u), v=complex(v):
-         u * a_law.lower_lst(s2, l) + v * a_law.upper_lst(s2, l))
+        (lambda s2, v=complex(v), w=complex(u - v):
+         v * a_law.lst(s2) + w * a_law.lower_lst(s2, l))
         for u, v in zip(c1, c2)
     )
     kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(h2_poly), static_h2=True)

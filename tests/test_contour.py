@@ -224,6 +224,25 @@ def test_no_convergence_on_hopeless_resolution():
     assert v.abs_err > 1e-9
 
 
+def test_near_axis_pole_with_refine_near_is_honest():
+    # the axis integral of 1/(xi - p) with Re p < 0, closed at infinity, is
+    # 2 pi i; refine_near at the pole's ordinate resolves it at the default spec
+    v = pv_axis(lambda xi: 1.0 / (xi - (-1e-3 + 30.5j)), ContourSpec(),
+                asymptotic_coeff=1.0, refine_near=(30.5, 0.5))
+    assert abs(v.value - 2j * math.pi) <= v.abs_err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md line 'contour.pv_axis under-reports its error when "
+                          "a pole lies near the axis and no refine_near is given'")
+def test_near_axis_pole_without_refine_near_is_honest():
+    # without refine_near the same integral reports abs_err 0.0101 while its
+    # error against 2 pi i is 2.99
+    v = pv_axis(lambda xi: 1.0 / (xi - (-1e-3 + 30.5j)), ContourSpec(),
+                asymptotic_coeff=1.0)
+    assert abs(v.value - 2j * math.pi) <= v.abs_err
+
+
 def test_hoelder_warning_on_jump_density():
     # a jump at s defeats the Hoelder condition outright; loose tol so the
     # quadrature itself still returns

@@ -299,6 +299,16 @@ def test_det_uniform_contour_at_default_spec(spec, functional, z, s):
     assert abs(tv.value - ref.value) <= tv.abs_err + ref.abs_err
 
 
+@pytest.mark.xfail(strict=True, raises=NoConvergence,
+                   reason="CHANGES.md line 'fluct.wienerhopf_factors on "
+                          "Deterministic(0.7)/Uniform(0.2, 2) raises NoConvergence'")
+def test_det_uniform_wienerhopf_at_default_spec(spec):
+    # the ladder error at (0.7, 0) is 1.2e-5 against tol 1e-5; at tol 1e-4 the
+    # factorization residual is 3.4e-6
+    _, _, residual = wienerhopf_factors(walk_functionals(_DET_UNIFORM), 0.7, 0.0, spec)
+    assert residual <= spec.tol
+
+
 def test_mm1_contour_errors_are_honest(mm1, mm1_refs, spec):
     # 40 seeded random complex (z, s) points: every functional returns a
     # value within its reported abs_err of the closed form

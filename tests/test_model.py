@@ -63,19 +63,56 @@ def test_product_factorization(models):
             assert joint == pytest.approx(split, abs=1e-12)
 
 
-def test_threshold_lst_matches_quadrature(models):
-    # independent oracle: integrate f_i(s1) e^{-s2 a} over the Exp(1) density
-    # of A on each side of the threshold l = 1
-    thr = models["threshold_exp"]
+def _trapezoid(fn, edges, n=400001):
+    # composite trapezoid rule over consecutive edges, so no kink or jump of
+    # fn falls inside a panel
+    total = 0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        grid = np.linspace(lo, hi, n)
+        total += np.trapezoid(fn(grid), grid)
+    return total
+
+
+def _erlang_density(k, rate):
+    return lambda x: rate ** k * x ** (k - 1) * np.exp(-rate * x) / math.factorial(k - 1)
+
+
+def _uniform_density(lo, hi):
+    return lambda x: np.full_like(x, 1.0 / (hi - lo))
+
+
+# A laws for the threshold model at l = 1: (law, density, edges), with the
+# edges splitting the support (cut at 60 for unbounded laws) at l; a
+# Deterministic law has no density and carries its atom instead
+THRESHOLD_A_LAWS = {
+    "exp": (Exponential(1.0), lambda x: np.exp(-x), (0.0, 1.0, 60.0)),
+    "erlang": (Erlang(2, 2.0), _erlang_density(2, 2.0), (0.0, 1.0, 60.0)),
+    "uniform": (Uniform(0.2, 1.9), _uniform_density(0.2, 1.9), (0.2, 1.0, 1.9)),
+    "det_below": (Deterministic(0.7), None, None),
+    "det_above": (Deterministic(1.3), None, None),
+}
+
+
+@pytest.mark.parametrize("a_key", list(THRESHOLD_A_LAWS))
+def test_threshold_lst_matches_quadrature(a_key):
+    # independent oracle: integrate f_i(s1) e^{-s2 a} over the law of A, with
+    # f1 = Exp(3) below the threshold l = 1 and f2 = Exp(1.2) above it
+    a_law, density, edges = THRESHOLD_A_LAWS[a_key]
+    thr = build_threshold_model(Exponential(3.0), Exponential(1.2), a_law, 1.0)
+    ker = thr.rational
     for s1, s2 in [(0.5, 0.7), (1.0, 2.0), (0.3 + 0.4j, 1.1 - 0.2j)]:
         f1v = 3.0 / (3.0 + s1)
         f2v = 1.2 / (1.2 + s1)
-        want = 0j
-        for seg_lo, seg_hi, fv in [(0.0, 1.0, f1v), (1.0, 60.0, f2v)]:
-            grid = np.linspace(seg_lo, seg_hi, 400001)
-            w = fv * np.exp(-s2 * grid) * np.exp(-grid)
-            want += np.trapezoid(w, grid)
-        assert lst_eval(thr, s1, s2) == pytest.approx(want, abs=5e-9)
+        if density is None:
+            want = (f1v if a_law.value <= 1.0 else f2v) * np.exp(-s2 * a_law.value)
+        else:
+            want = sum(fv * _trapezoid(lambda x: np.exp(-s2 * x) * density(x), seg)
+                       for fv, seg in [(f1v, [e for e in edges if e <= 1.0]),
+                                       (f2v, [e for e in edges if e >= 1.0])])
+        got = lst_eval(thr, s1, s2)
+        assert got == pytest.approx(want, abs=5e-9)
+        ratio = complex(np.asarray(ker.eval_h1(s1, s2) / ker.eval_h2(s1, s2)).reshape(()))
+        assert ratio == pytest.approx(got, abs=1e-12)
 
 
 def test_threshold_restricted_transform_split(models):
@@ -214,18 +251,30 @@ def test_sample_increment_deterministic(models):
         assert b1[0] >= 0 and a1[0] >= 0
 
 
-@pytest.mark.parametrize("law", [
-    Exponential(1.3),
-    Erlang(3, 2.0),
-    Hyperexponential((0.3, 0.7), (1.0, 4.0)),
-    Deterministic(0.7),
-    Uniform(0.2, 1.9),
-])
-def test_restricted_transforms_reassemble(law):
-    s = 0.9 + 0.4j
-    tot = law.lower_lst(s, 1.1) + law.upper_lst(s, 1.1)
-    full = complex(np.asarray(law.lst(s)).reshape(()))
-    assert tot == pytest.approx(full, abs=1e-12)
+@pytest.mark.parametrize("law, density, support", [
+    (Exponential(1.3), _erlang_density(1, 1.3), (0.0, math.inf)),
+    (Erlang(3, 2.0), _erlang_density(3, 2.0), (0.0, math.inf)),
+    (Hyperexponential((0.3, 0.7), (1.0, 4.0)),
+     lambda x: 0.3 * np.exp(-x) + 2.8 * np.exp(-4.0 * x), (0.0, math.inf)),
+    (Deterministic(0.7), None, None),
+    (Uniform(0.2, 1.9), _uniform_density(0.2, 1.9), (0.2, 1.9)),
+], ids=["exponential", "erlang", "hyperexponential", "deterministic", "uniform"])
+def test_lower_lst_matches_quadrature(law, density, support):
+    # E[e^{-sX}; X <= l] against a trapezoid integral of the density over
+    # the support's part of [0, l], or against the atom, for l below, at and
+    # above the atom and below, inside and above the Uniform support;
+    # s = -1.2999 puts (1.3 + s) l on the series branch of _em
+    for l in (0.1, 0.7, 1.1, 2.5):
+        for s in (0.9 + 0.4j, -1.2999, 2.5 - 3.0j):
+            if density is None:
+                want = np.exp(-s * law.value) if law.value <= l else 0.0
+            elif l > support[0]:
+                want = _trapezoid(lambda x: np.exp(-s * x) * density(x),
+                                  (support[0], min(l, support[1])))
+            else:
+                want = 0.0
+            got = complex(np.asarray(law.lower_lst(s, l)).reshape(()))
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 def _em_by_branches(w):
