@@ -16,8 +16,9 @@ out.  The limit is taken by one fixed ladder: truncations at T, 2T and 4T,
 nested so that every node is evaluated once, then 1/T-Richardson
 extrapolation.  Each node count's Gauss-Legendre rule is built once per
 process and shared with ``roots``, so a call costs its density evaluations.
-``pv_axis_singular`` handles the additional on-axis singularity of Cauchy
-densities phi(xi)/(xi - s) by the subtraction trick.
+``pv_axis_singular`` gives the Cauchy value of phi(xi)/(xi - s) at any s, on
+or off the axis, by subtracting phi at the nearest axis point times a unit
+Lorentzian whose own Cauchy value is known in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvalError, HoelderSuspect, WalkfluctError
+from .errors import EvalError, HoelderSuspect, WalkfluctError
 
 __all__ = [
     "ContourSpec",
@@ -235,26 +236,27 @@ def _hoelder_probe(phi, s: complex, phi_s: complex) -> None:
 
 def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
                      phi_at_infinity: complex = 0.0) -> TransformValue:
-    """Doubly dashed Cauchy value of phi(xi)/(xi - s) for s on the axis.
+    """Cauchy value of phi(xi)/(xi - s) over the axis, closed at infinity, at any s.
 
-    Computed through the nonsingular subtraction form
-    (phi(xi) - phi(s))/(xi - s), whose own 1/xi coefficient is
-    phi_at_infinity - phi(s); suppliers of phi that does not vanish at i*inf
-    must pass its limit.  Warns HoelderSuspect when a finite-difference probe
-    suggests phi is too rough at s for the value to mean much.  Divided by
-    2*pi*i, the value is the exterior (right half-plane) Plemelj limit of the
-    Cauchy transform of phi at s; the interior limit exceeds it by phi(s).
+    Subtracting phi(s0) w(xi) at the nearest axis point s0 = i Im s, with
+    w(xi) = 1/(1 - (xi - s0)^2), keeps the integrand bounded however close s
+    lies to the axis; w decays like 1/xi^2, so the 1/xi coefficient is
+    phi_at_infinity (a phi that does not vanish at i*inf must pass its limit)
+    and no tail growing with Re s reaches the ladder.  Residues at s0 - 1 (and
+    at s if Re s < 0) give the subtracted part: -pi*i phi(s0)/(1 + |Re s|)
+    for Re s >= 0 and its negative for Re s < 0.  On the axis the value over
+    2*pi*i is the exterior Plemelj limit; the interior one exceeds it by
+    phi(s).  Warns HoelderSuspect when a probe finds phi too rough at s0.
     """
     s = complex(s)
-    if abs(s.real) > 1e-9 * (1.0 + abs(s)):
-        raise DomainError("pv_axis_singular requires Re s = 0")
-    s = 1j * s.imag
-    phi_s = complex(_eval_density(phi, np.array([s], dtype=complex))[0])
-    _hoelder_probe(phi, s, phi_s)
+    s0 = 1j * s.imag
+    phi_0 = complex(_eval_density(phi, np.array([s0], dtype=complex))[0])
+    _hoelder_probe(phi, s0, phi_0)
 
     def density(xi: np.ndarray) -> np.ndarray:
-        return (_eval_density(phi, xi) - phi_s) / (xi - s)
+        return (_eval_density(phi, xi) - phi_0 / (1.0 - (xi - s0) ** 2)) / (xi - s)
 
-    return pv_axis(density, spec,
-                   asymptotic_coeff=complex(phi_at_infinity) - phi_s,
-                   refine_near=(s.imag, 0.5))
+    pv = pv_axis(density, spec, asymptotic_coeff=phi_at_infinity,
+                 refine_near=(s.imag, abs(s.real) or 0.5))
+    back = (1j if s.real < 0.0 else -1j) * math.pi * phi_0 / (1.0 + abs(s.real))
+    return TransformValue(pv.value + back, pv.abs_err, "contour")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# pv_axis is unused here; it stays bound because bench/tracing.py swaps fluct.pv_axis
 from .contour import ContourSpec, TransformValue, _extrapolate, pv_axis, pv_axis_singular
 from .errors import DomainError, NoConvergence, StabilityError, UnsupportedModel
 from .model import IncrementModel, RationalKernel, increment_char, lst_eval
@@ -108,20 +109,16 @@ def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, p: complex,
                       spec: ContourSpec) -> tuple[complex, float]:
     """(1/2 pi i) PV int log(1 - z h(xi, s1 - xi)) / (xi - p) dxi over the axis.
 
-    Returns the exponent and its error.  A pole off the axis is integrated
-    through with panels refined around it; a pole on the axis (Re p = 0)
-    takes the exterior Plemelj limit, the value continued from Re p > 0.
+    Returns the exponent and its error.  pv_axis_singular takes every p, on,
+    near or off the axis; on the axis (Re p = 0) it gives the exterior
+    Plemelj limit, the value continued from Re p > 0.
     """
     model = wf.model
 
     def phi(xi):
         return _log(1.0 - z * _h_shifted(model, s1, np.asarray(xi, dtype=complex)))
 
-    if p.real == 0.0:
-        pv = pv_axis_singular(phi, p, spec, phi_at_infinity=0.0)
-    else:
-        pv = pv_axis(lambda xi: phi(xi) / (xi - p), spec, asymptotic_coeff=0.0,
-                     refine_near=(p.imag, max(abs(p.real), 1e-3)))
+    pv = pv_axis_singular(phi, p, spec, phi_at_infinity=0.0)
     return pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI
 
 

@@ -160,16 +160,24 @@ def test_eval_busy_rational(mm1_file, tmp_path, mm1_refs):
     assert abs(val - mm1_refs.busy(0.5, 0.5)) < 1e-10
 
 
-def test_eval_busy_contour(mm1_file, tmp_path, mm1_refs):
+# steps ignores s, so it runs at one s only
+@pytest.mark.parametrize("functional, s", [
+    ("busy", "0.5"), ("busy", "1e-8"), ("idle", "0.5"), ("idle", "1e-8"),
+    ("steps", "0.5"), ("max", "0.5"), ("max", "1e-8"),
+])
+def test_eval_contour(mm1_file, tmp_path, mm1_refs, functional, s):
     out = tmp_path / "o.csv"
-    rc = run(["eval", "busy", "--model", mm1_file,
-              "--z", "0.5", "--s", "0.5", "--out", str(out)])
+    rc = run(["eval", functional, "--model", mm1_file,
+              "--z", "0.5", "--s", s, "--out", str(out)])
     assert rc == 0
     row = _read_csv(out)[0]
     assert row["method"] == "contour"
     val = complex(float(row["value_re"]), float(row["value_im"]))
-    assert abs(val - mm1_refs.busy(0.5, 0.5)) < max(
-        5.0 * float(row["abs_err"]), 1e-6)
+    want = {"busy": lambda: mm1_refs.busy(0.5, float(s)),
+            "idle": lambda: mm1_refs.idle(0.5, float(s)),
+            "steps": lambda: mm1_refs.steps(0.5),
+            "max": lambda: mm1_refs.transient_max(0.5, float(s))}[functional]()
+    assert abs(val - want) < max(5.0 * float(row["abs_err"]), 1e-6)
 
 
 def test_eval_busy_montecarlo(mm1_file, tmp_path, mm1_refs):

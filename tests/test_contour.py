@@ -15,7 +15,7 @@ from walkfluct.contour import (
     pv_axis,
     pv_axis_singular,
 )
-from walkfluct.errors import DomainError, EvalError, HoelderSuspect
+from walkfluct.errors import EvalError, HoelderSuspect
 
 LAM, MU = 1.0, 2.0
 TWO_PI_I = 2j * math.pi
@@ -202,10 +202,16 @@ def test_gauss_legendre_rule_is_shared_and_read_only(n):
             arr *= 2.0
 
 
-def test_singular_requires_axis_point(spec):
-    with pytest.raises(DomainError):
-        pv_axis_singular(lambda xi: np.ones_like(xi), 0.5, spec,
+@pytest.mark.parametrize("s, want", [
+    (1.0 + 0.5j, 0.0), (1e-9 + 0.5j, 0.0),
+    (-1.0 + 0.5j, TWO_PI_I), (-1e-9 + 0.5j, TWO_PI_I),
+], ids=["right", "right-near", "left", "left-near"])
+def test_singular_trichotomy_off_axis(spec, s, want):
+    # the axis integral of 1/(xi - s), closed at infinity, is 0 right of the
+    # axis and 2 pi i left of it, however close s lies to the axis
+    v = pv_axis_singular(lambda xi: np.ones_like(xi), s, spec,
                          phi_at_infinity=1.0)
+    assert v.value == pytest.approx(want, abs=1e-4)
 
 
 def test_scalar_only_density_rejected(spec):

@@ -322,12 +322,33 @@ def test_mm1_contour_errors_are_honest(mm1, mm1_refs, spec):
                         (transient_max_transform(mm1, z, s, spec),
                          mm1_refs.transient_max(z, s))):
             assert abs(tv.value - ref) <= tv.abs_err, (z, s)
+    # far from the axis: a subtraction at i Im s that leaves a 1/xi tail
+    # fails the ladder from Re s ~ 5
+    for z in (0.5, 0.9):
+        for s in (5.0, 10.0, 30.0):
+            for tv, ref in ((busy_period_transform(mm1, z, s, spec), mm1_refs.busy(z, s)),
+                            (idle_period_transform(mm1, z, s, spec), mm1_refs.idle(z, s)),
+                            (transient_max_transform(mm1, z, s, spec),
+                             mm1_refs.transient_max(z, s))):
+                assert abs(tv.value - ref) <= tv.abs_err, (z, s)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-10, 1e-14])
+@pytest.mark.parametrize("z", [0.5, 0.9])
+def test_mm1_contour_errors_are_honest_at_tiny_s(mm1, mm1_refs, spec, z, s):
+    # the descent exponent's pole p = s (or -s) lies within |s| of the axis;
+    # each value must still be within its own abs_err of the closed form
+    for tv, ref in ((busy_period_transform(mm1, z, s, spec), mm1_refs.busy(z, s)),
+                    (idle_period_transform(mm1, z, s, spec), mm1_refs.idle(z, s)),
+                    (transient_max_transform(mm1, z, s, spec),
+                     mm1_refs.transient_max(z, s))):
+        assert abs(tv.value - ref) <= tv.abs_err
 
 
 # --- the joint first-descent transform -------------------------------------
 
 
-# Re(s1 + s2) > 0, < 0 and = 0: the three routes of the descent exponent
+# Re(s1 + s2) > 0, < 0 and = 0: the three cases of the descent exponent's pole
 _JOINT_POINTS = [(0.5, 1.0, -0.4), (0.7, 0.5 + 0.3j, -1.2), (0.4 + 0.3j, 0.8, -0.8 + 0.5j)]
 
 

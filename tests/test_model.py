@@ -221,15 +221,26 @@ def test_mm1_cleared_root_closed_form(models):
     assert want == pytest.approx(-1.6861406616345072, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+# product walks whose samplers draw from the other four families
+_SAMPLER_PRODUCTS = {
+    "erlang_hyperexp": (Erlang(3, 6.0), Hyperexponential((0.3, 0.7), (1.0, 4.0))),
+    "det_uniform": (Deterministic(0.7), Uniform(0.2, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES + list(_SAMPLER_PRODUCTS))
 def test_sampler_moments_and_empirical_lst(models, name):
-    mdl = models[name]
+    mdl = models[name] if name in models else build_product_model(*_SAMPLER_PRODUCTS[name])
     rng = np.random.default_rng(7)
     b, a = mdl.sampler(rng, 200_000)
     assert (b >= 0).all() and (a >= 0).all()
     nsq = math.sqrt(b.size)
-    assert abs(b.mean() - mdl.mean_b) < 4.5 * b.std() / nsq
-    assert abs(a.mean() - mdl.mean_a) < 4.5 * a.std() / nsq
+    for x, mean in ((b, mdl.mean_b), (a, mdl.mean_a)):
+        if x.std() == 0.0:
+            # a deterministic law: every draw is the mean itself
+            assert (x == mean).all()
+        else:
+            assert abs(x.mean() - mean) < 4.5 * x.std() / nsq
     w = np.exp(-0.8 * b - 0.5 * a)
     assert abs(w.mean() - lst_eval(mdl, 0.8, 0.5)) < 4.5 * w.std() / nsq
 
