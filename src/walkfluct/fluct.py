@@ -235,7 +235,7 @@ def _static_base(kernel: RationalKernel) -> RootReport:
 
 def _root_ratio(top: RootReport, bottom: RootReport, p: complex) -> tuple[complex, float]:
     """prod(p - top roots) / prod(p - bottom roots), with the bound on |log|
-    of its relative error that the reports' clusters cause (product_err)."""
+    of its relative error that the reports' root discs give (product_err)."""
     num = den = 1.0 + 0j
     for r in top.roots:
         num *= p - r
@@ -246,9 +246,8 @@ def _root_ratio(top: RootReport, bottom: RootReport, p: complex) -> tuple[comple
 
 def _rational_value(value: complex, part: complex, log_err: float) -> TransformValue:
     # part is the root-product term of value; log_err bounds |log| of its
-    # relative error from roots reported for clusters (RootReport.product_err)
-    return TransformValue(value, 1e-12 * (1.0 + abs(value)) + abs(part) * math.expm1(log_err),
-                          "rational")
+    # relative error, summed over the disc of every root (RootReport.product_err)
+    return TransformValue(value, abs(part) * math.expm1(log_err), "rational")
 
 
 def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:

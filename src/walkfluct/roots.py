@@ -2,19 +2,20 @@
 
 The counting contour is the segment Re xi = -eps closed by a left arc,
 traversed counterclockwise; its winding number equals the number of enclosed
-zeros.  Kernels that clear to a polynomial get their roots from a companion
-solve.  The rest go through a contour-moment locator (Delves & Lyness 1967,
-Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727): count the N
-zeros inside an enclosing rectangle, integrate their power sums
+zeros.  Kernels that clear to a polynomial get first root estimates from a
+companion solve, the rest from a contour-moment locator (Delves & Lyness
+1967, Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727): count
+the N zeros inside an enclosing rectangle, integrate their power sums
 (1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on adaptive Gauss-Legendre
-panels, solve for them through Newton's identities and polish them.  Each
-root, or group of near roots, is then checked on a disc of its own.  A disc
-holding several zeros reports the roots of its own power sums, which stay
-accurate for numerically coincident zeros, and keeps its moments so that
-callers can bound the error in root products.  The locator spends at most
-_LOCATE_BUDGET kernel evaluations.  Either way the count is certified
-independently by the argument principle on the uncleared kernel and the
-roots by their residuals.
+panels and solve for them through Newton's identities.  Either way the
+estimates are polished and every root, or group of near roots, is checked
+on a disc of its own.  A disc holding several zeros reports the roots of
+its own power sums, which stay accurate for numerically coincident zeros.
+Every disc keeps the gap between its moments and its reported roots' power
+sums, which bounds the error in root products (Kravanja, Sakurai & Van Barel
+1999, BIT 39:646-682).  Location spends at most _LOCATE_BUDGET kernel
+evaluations.  The count is certified independently by the argument
+principle on the uncleared kernel and the roots by their residuals.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ _AXIS_TOL = 1e-9   # roots closer to the axis than this count as on-axis
 
 @dataclass(frozen=True)
 class RootReport:
-    """Certified left-half-plane roots of one shifted kernel."""
+    """Certified left-half-plane roots of one shifted kernel, each in one of discs."""
 
     roots: tuple
     residuals: tuple
     count_argument_principle: int
     contour_radius: float
     contour_offset_eps: float
-    clusters: tuple = ()
+    discs: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.roots) != self.count_argument_principle:
@@ -63,9 +64,8 @@ class RootReport:
                 raise ValueError(f"root {r:.6g} is not safely inside the left half-plane")
 
     def product_err(self, shift: complex) -> float:
-        """Bound on |log| of the relative error of prod(shift - root) that the
-        clusters' reported roots cause; 0 when there are none."""
-        return sum(c.product_err(shift) for c in self.clusters)
+        """Bound on |log| of the relative error of prod(shift - root)."""
+        return sum(d.product_err(shift) for d in self.discs)
 
 
 class _BudgetExceeded(NonIntegerWinding):
@@ -356,32 +356,35 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
     return center + scale * _roots_from_power_sums(total)
 
 
-def _disc_moments(F, center: complex, radius: float, n: int) -> np.ndarray:
+def _disc_moments(F, center: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid sums of (1/2 pi i) oint ((xi - center)/radius)^k F'/F dxi,
-    k <= _ORDER, with F' from the spectral derivative on the circle."""
-    v = np.exp(2j * math.pi * np.arange(n) / n)
-    vals = _eval_density(F, center + radius * v)
+    k <= _ORDER, with F' from the spectral derivative on the circle, at 64
+    and at 128 nodes; the 64 nodes are every other one of the 128."""
+    vals = _eval_density(F, center + radius * np.exp(2j * math.pi * np.arange(128) / 128))
     if not np.all(vals):
         raise ZeroOnContour("kernel vanishes on a root disc")
-    freq = np.fft.fftfreq(n, 1.0 / n)
-    freq[n // 2] = 0.0
-    g = np.fft.ifft(1j * freq * np.fft.fft(vals)) / vals
-    return (g @ v[:, None] ** np.arange(_ORDER + 1)) / (1j * n)
+    sums = []
+    for w in (vals[::2], vals):
+        freq = np.fft.fftfreq(w.size, 1.0 / w.size)
+        freq[w.size // 2] = 0.0
+        g = np.fft.ifft(1j * freq * np.fft.fft(w)) / w
+        sums.append(np.fft.ifft(g)[:_ORDER + 1] / 1j)  # (1/n) sum_j g_j v_j^k
+    return sums[0], sums[1]
 
 
 @dataclass(frozen=True)
-class RootCluster:
-    """Zeros certified inside one disc and reported as its power-sum roots.
+class RootDisc:
+    """Zeros certified inside one disc, and the roots reported for them.
 
-    moments[j-1] is sum_i ((r_i - center)/radius)^j over the zeros r_i in
-    the disc and errors[j-1] its quadrature error.
+    terms[j-1] is (|q_j - Q_j| + e_j)/j: q_j is sum_i ((r_i - center)/radius)^j
+    over the zeros r_i in the disc, e_j its quadrature error and Q_j the same
+    sum over the reported roots.
     """
 
     center: complex
     radius: float
     roots: tuple
-    moments: tuple
-    errors: tuple
+    terms: tuple
 
     def product_err(self, shift: complex) -> float:
         """Bound on |log(prod (shift - r_i) / prod (shift - reported))|.
@@ -393,10 +396,8 @@ class RootCluster:
         x = self.radius / abs(shift - self.center)
         if x >= 1.0:
             return math.inf
-        u = (np.asarray(self.roots) - self.center) / self.radius
-        body = sum((abs(q - np.sum(u ** j)) + e) * x ** j / j
-                   for j, (q, e) in enumerate(zip(self.moments, self.errors), start=1))
-        return body + 2 * len(u) * x ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - x))
+        body = x * float(np.polynomial.polynomial.polyval(x, self.terms))
+        return body + 2 * len(self.roots) * x ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - x))
 
 
 def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tuple]:
@@ -420,7 +421,7 @@ def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tu
             c0 = complex(np.mean(g))
             gap = min((abs(r - c0) for r in roots if r not in g), default=math.inf)
             radius = min(-c0.real / 4.0, gap / 3.0)
-            coarse, fine = (_disc_moments(F, c0, radius, n) for n in (64, 128))
+            coarse, fine = _disc_moments(F, c0, radius)
             m = round(fine[0].real)
             if max(abs(coarse[0] - m), abs(fine[0] - m)) > 1e-6:
                 break
@@ -435,31 +436,32 @@ def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tu
                    key=lambda h: min(abs(r - c0) for r in h))
         groups = [h for h in groups if h is not g and h is not near] + [g + near]
     out: list[complex] = []
-    clusters = []
+    settled = []
+    j = np.arange(1, _ORDER + 1)
     for g, c0, radius, m, coarse, fine in discs:
+        if m == 0:
+            continue
         if m == 1:
-            out.append(g[0] if len(g) == 1 else _newton(F, c0 + radius * fine[1], scale))
-        elif m > 1:
+            local = (g[0] if len(g) == 1 else _newton(F, c0 + radius * fine[1], scale),)
+        else:
             local = tuple(c0 + radius * _roots_from_power_sums(fine[:m + 1]))
-            if max(abs(r - c0) for r in local) >= radius:
-                raise CountMismatch(f"power-sum roots leave the disc about {c0:.8g}")
-            err = 2.0 * np.abs(fine - coarse) + 1e-13  # the level gap, doubled
-            clusters.append(RootCluster(c0, radius, local, tuple(fine[1:]), tuple(err[1:])))
-            out.extend(local)
+        u = (np.asarray(local) - c0) / radius
+        if np.abs(u).max() >= 1.0:
+            raise CountMismatch(f"reported roots leave the disc about {c0:.8g}")
+        err = 2.0 * np.abs(fine[1:] - coarse[1:]) + 1e-13  # the level gap, doubled
+        gap = np.abs(fine[1:] - (u[:, None] ** j).sum(axis=0))
+        settled.append(RootDisc(c0, radius, local, tuple((gap + err) / j)))
+        out.extend(local)
     if len(out) != count:
-        raise CountMismatch(f"root discs hold {len(out)} zeros, the rectangle {count}")
-    return out, tuple(clusters)
+        raise CountMismatch(f"root discs hold {len(out)} zeros, the locator {count}")
+    return out, tuple(settled)
 
 
-def _moment_roots(F, kernel: RationalKernel, z: complex, s: complex,
-                  scale: float) -> tuple[list[complex], tuple]:
-    """Left zeros of a kernel that does not clear to a polynomial.
-
-    Count the N zeros inside an enclosing rectangle, solve for them from
-    their power sums, first on the rectangle and then on a box three times
-    their spread, polish them and check them disc by disc, all on one budget.
-    """
-    F = _Budget(F)
+def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex,
+                      s: complex, scale: float) -> tuple[np.ndarray, int]:
+    """First estimates of the N left zeros: count them inside an enclosing
+    rectangle, then solve for them from their power sums, first on the
+    rectangle and then on a box three times their spread."""
     R = max(_coeff_bound(kernel, z, s), 1.0)
     for _ in range(6):
         inner = _rect_winding(F, -R, -1e-6, -R, R)
@@ -471,7 +473,7 @@ def _moment_roots(F, kernel: RationalKernel, z: complex, s: complex,
         raise CountMismatch("enclosing rectangle count failed to stabilize")
     F.count = inner
     if inner == 0:
-        return [], ()
+        return np.array([]), 0
     noise = 1e-15 * scale  # rounding in F, as _newton reads it
     approx = _box_roots(F, -R, -1e-6, -R, R, inner, noise)
     w = max(np.ptp(approx.real), np.ptp(approx.imag), 0.25 * (1.0 + np.abs(approx).max()))
@@ -480,19 +482,22 @@ def _moment_roots(F, kernel: RationalKernel, z: complex, s: complex,
                             approx.imag.min() - w, approx.imag.max() + w, inner, noise)
     except (CountMismatch, ZeroOnContour):
         pass  # a zero lies outside the smaller box: keep the first estimates
-    polished = [_newton(F, r, scale) for r in approx]
-    return _settle(F, [r for r in polished if r.real < -_AXIS_TOL], inner, scale)
+    return approx, inner
 
 
 def _locate(F, kernel: RationalKernel, z: complex, s: complex,
             scale: float) -> tuple[list[complex], tuple]:
-    """Polished left zeros of F and the clusters among them."""
+    """Polished left zeros of F and their discs, all on one budget.  A kernel
+    that clears to a polynomial takes its first estimates, and their count,
+    from a companion solve; the rest from the contour-moment locator."""
+    F = _Budget(F)
     if kernel.clear_fn is None:
-        return _moment_roots(F, kernel, z, s, scale)
-    poly = _trim_poly(kernel.clear_fn(z, s))
-    roots = np.roots(poly) if len(poly) > 1 else np.array([])
-    refined = [_newton(F, complex(r), scale) for r in roots if r.real < -_AXIS_TOL]
-    return [r for r in refined if r.real < -_AXIS_TOL], ()
+        approx, count = _moment_estimates(F, kernel, z, s, scale)
+    else:
+        approx, count = np.roots(_trim_poly(kernel.clear_fn(z, s))), None
+    polished = [_newton(F, complex(r), scale) for r in approx if r.real < -_AXIS_TOL]
+    polished = [r for r in polished if r.real < -_AXIS_TOL]
+    return _settle(F, polished, len(polished) if count is None else count, scale)
 
 
 def _contour_params(roots) -> tuple[float, float]:
@@ -528,7 +533,7 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     _check_count_domain(z, s, stable_drift)
     F = _shifted(kernel, z, s)
     scale = max(1.0, abs(complex(F(0.0))))
-    refined, clusters = _locate(F, kernel, z, s, scale)
+    refined, discs = _locate(F, kernel, z, s, scale)
     refined.sort(key=lambda r: (r.real, r.imag))
     eps, radius = _contour_params(refined)
     n_ap, radius = _stable_count(F, radius, eps)
@@ -542,7 +547,7 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     return RootReport(roots=tuple(refined), residuals=residuals,
                       count_argument_principle=n_ap,
                       contour_radius=radius, contour_offset_eps=eps,
-                      clusters=clusters)
+                      discs=discs)
 
 
 def verify_rouche(kernel: RationalKernel, z: complex, s: complex) -> tuple[int, int, bool]:

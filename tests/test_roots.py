@@ -27,7 +27,9 @@ from walkfluct.model import (
     build_threshold_model,
 )
 from walkfluct.roots import (
+    _ORDER,
     RootReport,
+    _disc_moments,
     count_left_zeros,
     find_kernel_roots,
     verify_rouche,
@@ -187,6 +189,8 @@ def test_random_kernels_count_equals_degree():
             f"trial {trial}: {mdl.label or mdl.kind} at z={z:.3f}, s={s:.3f}")
         assert max(rep.residuals) < 1e-8 * max(
             1.0, abs(complex(mdl.rational.eval_shifted(0.0, z, s))))
+        for r in rep.roots:
+            assert sum(abs(r - d.center) < d.radius for d in rep.discs) == 1
 
 
 def test_erlang_det_busy_returns_promptly():
@@ -246,3 +250,19 @@ def test_near_triple_roots_error_is_honest():
     rt = busy_period_rational(wf, z, s)
     ct = busy_period_transform(wf, z, s, ContourSpec())
     assert abs(rt.value - ct.value) <= 4.0 * (rt.abs_err + ct.abs_err)
+
+
+def test_disc_moments_match_the_power_matrix_sum():
+    # the moments are (1/n) sum_j g_j v_j^k, read through the inverse FFT
+    # from one evaluation at 128 nodes; the power-matrix product below is
+    # the same sum written out, with F evaluated at each node count
+    F = lambda x: (x + 1.0) * (x + 1.2 - 0.3j) * (x + 3.0) * np.exp(0.2 * x)
+    center, radius = -1.1 + 0.1j, 0.5
+    for n, got in zip((64, 128), _disc_moments(F, center, radius)):
+        v = np.exp(2j * math.pi * np.arange(n) / n)
+        vals = F(center + radius * v)
+        freq = np.fft.fftfreq(n, 1.0 / n)
+        freq[n // 2] = 0.0
+        g = np.fft.ifft(1j * freq * np.fft.fft(vals)) / vals
+        want = (g @ v[:, None] ** np.arange(_ORDER + 1)) / (1j * n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
