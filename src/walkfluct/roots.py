@@ -7,15 +7,17 @@ companion solve, the rest from a contour-moment locator (Delves & Lyness
 1967, Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727): count
 the N zeros inside an enclosing rectangle, integrate their power sums
 (1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on adaptive Gauss-Legendre
-panels and solve for them through Newton's identities.  Either way the
-estimates are polished and every root, or group of near roots, is checked
-on a disc of its own.  A disc holding several zeros reports the roots of
-its own power sums, which stay accurate for numerically coincident zeros.
-Every disc keeps the gap between its moments and its reported roots' power
-sums, which bounds the error in root products (Kravanja, Sakurai & Van Barel
-1999, BIT 39:646-682).  Location spends at most _LOCATE_BUDGET kernel
-evaluations.  The count is certified independently by the argument
-principle on the uncleared kernel and the roots by their residuals.
+panels and solve for them through Newton's identities.  Either way every
+estimate, or group of near estimates, is checked on a disc of its own, and
+every disc reports the roots of its own power sums.  Those average the
+kernel's rounding noise over the disc's circle, where an iteration on F
+would stop at the first point that noise hides, and stay accurate for
+numerically coincident zeros.  Every disc keeps the gap between its moments
+and its reported roots' power sums, which bounds the error in root products
+(Kravanja, Sakurai & Van Barel 1999, BIT 39:646-682).  Location spends at
+most _LOCATE_BUDGET kernel evaluations.  The count is certified
+independently by the argument principle on the uncleared kernel and the
+roots by their residuals.
 """
 
 from __future__ import annotations
@@ -186,33 +188,6 @@ def _rect_winding(F, x0: float, x1: float, y0: float, y1: float) -> int:
         return start + frac * (corners[(k + 1) % 4] - start)
 
     return _verified_winding(F, to_point, 128)
-
-
-def _newton(F, x0: complex, tol_scale: float) -> complex:
-    x = complex(x0)
-    fx = complex(F(x))
-    for _ in range(40):
-        if abs(fx) <= 1e-15 * tol_scale:
-            break
-        d = 1e-6 * (1.0 + abs(x))
-        fp = (complex(F(x + d)) - complex(F(x - d))) / (2.0 * d)
-        if fp == 0:
-            break
-        step = fx / fp
-        cand, fc = x, fx
-        for _ in range(10):
-            cand = x - step
-            fc = complex(F(cand))
-            if abs(fc) <= abs(fx):
-                break
-            step *= 0.5
-        if abs(fc) >= abs(fx):
-            break
-        moved = abs(cand - x)
-        x, fx = cand, fc
-        if moved < 1e-15 * (1.0 + abs(x)):
-            break
-    return x
 
 
 def _trim_poly(p: np.ndarray) -> np.ndarray:
@@ -400,16 +375,16 @@ class RootDisc:
         return body + 2 * len(self.roots) * x ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - x))
 
 
-def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tuple]:
-    """Check every polished root, or group of near roots, on a disc of its own.
+def _settle(F, roots: list[complex], count: int) -> tuple[list, tuple]:
+    """Check every root estimate, or group of near estimates, on a disc of its own.
 
-    Roots within 1e-3 (1 + |r|) of each other form a group.  Its disc, about
-    the group mean and clear of the axis and of the other roots, must hold an
-    integer number m of zeros at 64 and at 128 trapezoid nodes; a disc that
-    does not is in rounding noise, and its group joins the nearest one.
-    A disc whose m zeros are not its one polished root reports the roots of
-    its own power sums, polished only when m = 1: polishing numerically
-    coincident roots one by one would scatter them through the noise.
+    Estimates within 1e-3 (1 + |r|) of each other form a group.  Its disc,
+    about the group mean and clear of the axis and of the other estimates,
+    must hold an integer number m of zeros at 64 and at 128 trapezoid nodes;
+    a disc that does not is in rounding noise, and its group joins the
+    nearest one.  Every disc reports the m roots of its own power sums,
+    which average the kernel's rounding noise over the circle and stay
+    accurate for numerically coincident zeros.
     """
     groups: list[list[complex]] = []
     for r in roots:
@@ -425,7 +400,7 @@ def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tu
             m = round(fine[0].real)
             if max(abs(coarse[0] - m), abs(fine[0] - m)) > 1e-6:
                 break
-            discs.append((g, c0, radius, m, coarse, fine))
+            discs.append((c0, radius, m, coarse, fine))
         else:
             break
         if len(groups) == 1:
@@ -438,13 +413,10 @@ def _settle(F, roots: list[complex], count: int, scale: float) -> tuple[list, tu
     out: list[complex] = []
     settled = []
     j = np.arange(1, _ORDER + 1)
-    for g, c0, radius, m, coarse, fine in discs:
+    for c0, radius, m, coarse, fine in discs:
         if m == 0:
             continue
-        if m == 1:
-            local = (g[0] if len(g) == 1 else _newton(F, c0 + radius * fine[1], scale),)
-        else:
-            local = tuple(c0 + radius * _roots_from_power_sums(fine[:m + 1]))
+        local = tuple(complex(r) for r in c0 + radius * _roots_from_power_sums(fine[:m + 1]))
         u = (np.asarray(local) - c0) / radius
         if np.abs(u).max() >= 1.0:
             raise CountMismatch(f"reported roots leave the disc about {c0:.8g}")
@@ -474,7 +446,7 @@ def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex,
     F.count = inner
     if inner == 0:
         return np.array([]), 0
-    noise = 1e-15 * scale  # rounding in F, as _newton reads it
+    noise = 1e-15 * scale  # rounding in F at the kernel's scale
     approx = _box_roots(F, -R, -1e-6, -R, R, inner, noise)
     w = max(np.ptp(approx.real), np.ptp(approx.imag), 0.25 * (1.0 + np.abs(approx).max()))
     try:
@@ -487,17 +459,16 @@ def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex,
 
 def _locate(F, kernel: RationalKernel, z: complex, s: complex,
             scale: float) -> tuple[list[complex], tuple]:
-    """Polished left zeros of F and their discs, all on one budget.  A kernel
-    that clears to a polynomial takes its first estimates, and their count,
-    from a companion solve; the rest from the contour-moment locator."""
+    """Left zeros of F and their discs, all on one budget.  A kernel that
+    clears to a polynomial takes its first estimates, and their count, from a
+    companion solve; the rest from the contour-moment locator."""
     F = _Budget(F)
     if kernel.clear_fn is None:
         approx, count = _moment_estimates(F, kernel, z, s, scale)
     else:
         approx, count = np.roots(_trim_poly(kernel.clear_fn(z, s))), None
-    polished = [_newton(F, complex(r), scale) for r in approx if r.real < -_AXIS_TOL]
-    polished = [r for r in polished if r.real < -_AXIS_TOL]
-    return _settle(F, polished, len(polished) if count is None else count, scale)
+    approx = [complex(r) for r in approx if r.real < -_AXIS_TOL]
+    return _settle(F, approx, len(approx) if count is None else count)
 
 
 def _contour_params(roots) -> tuple[float, float]:
@@ -532,7 +503,8 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     z, s = complex(z), complex(s)
     _check_count_domain(z, s, stable_drift)
     F = _shifted(kernel, z, s)
-    scale = max(1.0, abs(complex(F(0.0))))
+    # |h2(0, s)| sizes the kernel; unlike |F(0)| it does not vanish at z = 1, s = 0
+    scale = abs(complex(kernel.eval_shifted(0.0, 0.0, s)))
     refined, discs = _locate(F, kernel, z, s, scale)
     refined.sort(key=lambda r: (r.real, r.imag))
     eps, radius = _contour_params(refined)
