@@ -18,7 +18,10 @@ extrapolation.  Each node count's Gauss-Legendre rule is built once per
 process and shared with ``roots``, so a call costs its density evaluations.
 ``pv_axis_singular`` gives the Cauchy value of phi(xi)/(xi - s) at any s, on
 or off the axis, by subtracting phi at the nearest axis point times a unit
-Lorentzian whose own Cauchy value is known in closed form.
+Lorentzian whose own Cauchy value is known in closed form.  It takes a tuple
+of poles too, and its poles share one table of phi.  A conjugate-symmetric
+integrand, f(conj xi) = conj f(xi), is evaluated on the upper half-axis
+only; phi(xi)/(xi - s) is one at a real s when phi(conj xi) = conj phi(xi).
 """
 
 from __future__ import annotations
@@ -144,10 +147,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band(density, lo: float, hi: float, nodes: int,
-          refine_near: tuple[float, float] | None) -> np.ndarray:
+          refine_near: tuple[float, float] | None,
+          conjugate_symmetric: bool = False) -> np.ndarray:
     """Quadrature terms of the density on the two axis bands lo <= |Im xi| <= hi.
 
-    The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.
+    The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.  A
+    conjugate-symmetric density, f(conj xi) = conj f(xi), has f(-iy) =
+    conj f(iy), so its terms are 2w*Re f(iy) and only the upper half-axis is
+    evaluated.
     """
     edges = _panel_edges(lo, hi, refine_near)
     x, w = _gauss_legendre(nodes)
@@ -155,7 +162,11 @@ def _band(density, lo: float, hi: float, nodes: int,
     mid = 0.5 * (edges[1:] + edges[:-1])
     ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     ws = (half[:, None] * w[None, :]).ravel()
-    return ws * (_eval_density(density, 1j * ys) + _eval_density(density, -1j * ys))
+    upper = _eval_density(density, 1j * ys)
+    if conjugate_symmetric:
+        # kept complex, so the ladder sums it exactly as it sums f(iy) + f(-iy)
+        return ws * (2.0 * upper.real + 0j)
+    return ws * (upper + _eval_density(density, -1j * ys))
 
 
 def _neville_table(hs, vals):
@@ -184,7 +195,8 @@ def _extrapolate(hs, vals) -> tuple[complex, float]:
 
 
 def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
-            refine_near: tuple[float, float] | None = None) -> TransformValue:
+            refine_near: tuple[float, float] | None = None,
+            conjugate_symmetric: bool = False) -> TransformValue:
     """Limit of symmetric truncations of the axis integral, closed at infinity.
 
     The truncations at heights T, 2T and 4T share their nodes: each adds one
@@ -192,7 +204,9 @@ def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
     value.  asymptotic_coeff is c1 = lim xi*density(xi), which every caller
     knows in closed form (0 for any density decaying faster than 1/|xi|).
     refine_near subdivides panels geometrically around an ordinate where the
-    density peaks.
+    density peaks.  conjugate_symmetric states that density(conj xi) =
+    conj density(xi); the density is then evaluated on the upper half-axis
+    only.
 
     abs_err is the extrapolation spread of the ladder only; the caller gates
     it against spec.tol on the quantity it returns.  The three truncations
@@ -204,7 +218,7 @@ def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
     c1 = complex(asymptotic_coeff)
     terms, vals = [], []
     for lo, hi in zip([0.0] + heights[:-1], heights):
-        terms.append(_band(density, lo, hi, spec.nodes, refine_near))
+        terms.append(_band(density, lo, hi, spec.nodes, refine_near, conjugate_symmetric))
         # one sum over all of [0, hi] rounds exactly as a single truncation would
         raw = 1j * complex(np.sum(np.concatenate(terms)))
         v = raw + 1j * math.pi * c1
@@ -216,15 +230,18 @@ def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
     return TransformValue(value=value, abs_err=err, method="contour")
 
 
-def _hoelder_probe(phi, s: complex, phi_s: complex) -> None:
-    # Finite-difference smoothness check along the axis near s.  A jump shows
-    # up as increments that refuse to shrink with the probe scale.
+def _hoelder_probe(phi, s: complex) -> complex:
+    """phi(s), from one call that also checks phi's smoothness along the axis at s.
+
+    A jump shows up as finite-difference increments that refuse to shrink
+    with the probe scale; it warns HoelderSuspect.
+    """
     deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4]) * max(1.0, abs(s))
-    pts = np.concatenate([s + 1j * deltas, s - 1j * deltas])
-    vals = _eval_density(phi, pts)
-    diffs = np.maximum(np.abs(vals[:4] - phi_s), np.abs(vals[4:] - phi_s))
+    vals = _eval_density(phi, np.concatenate([[s], s + 1j * deltas, s - 1j * deltas]))
+    phi_s = complex(vals[0])
+    diffs = np.maximum(np.abs(vals[1:5] - phi_s), np.abs(vals[5:] - phi_s))
     if diffs[-1] <= 1e-12 * (1.0 + abs(phi_s)):
-        return
+        return phi_s
     with np.errstate(divide="ignore"):
         slopes = np.diff(np.log(np.maximum(diffs, 1e-300))) / np.diff(np.log(deltas))
     if slopes[-1] < 0.1:
@@ -232,10 +249,12 @@ def _hoelder_probe(phi, s: complex, phi_s: complex) -> None:
             f"local smoothness exponent near s = {s:.6g} estimated at "
             f"{slopes[-1]:.3f}; principal value may be unreliable",
             HoelderSuspect, stacklevel=3)
+    return phi_s
 
 
-def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
-                     phi_at_infinity: complex = 0.0) -> TransformValue:
+def pv_axis_singular(phi, s: complex | tuple[complex, ...], spec: ContourSpec, *,
+                     phi_at_infinity: complex = 0.0, conjugate_symmetric: bool = False
+                     ) -> TransformValue | tuple[TransformValue, ...]:
     """Cauchy value of phi(xi)/(xi - s) over the axis, closed at infinity, at any s.
 
     Subtracting phi(s0) w(xi) at the nearest axis point s0 = i Im s, with
@@ -247,16 +266,37 @@ def pv_axis_singular(phi, s: complex, spec: ContourSpec, *,
     for Re s >= 0 and its negative for Re s < 0.  On the axis the value over
     2*pi*i is the exterior Plemelj limit; the interior one exceeds it by
     phi(s).  Warns HoelderSuspect when a probe finds phi too rough at s0.
+
+    s may be one pole or a tuple of poles, for a TransformValue or a tuple of
+    them.  The poles of one call share phi: it is evaluated once per distinct
+    panel layout and probed once per distinct s0, and the table is freed when
+    the call returns.  conjugate_symmetric states that phi(conj xi) =
+    conj phi(xi); at a real pole the integrand then is conjugate-symmetric
+    too, and pv_axis evaluates it on the upper half-axis only.
     """
-    s = complex(s)
-    s0 = 1j * s.imag
-    phi_0 = complex(_eval_density(phi, np.array([s0], dtype=complex))[0])
-    _hoelder_probe(phi, s0, phi_0)
+    poles = tuple(map(complex, s)) if isinstance(s, tuple) else (complex(s),)
+    phi_0s: dict[complex, complex] = {}
+    table: dict[bytes, np.ndarray] = {}
 
-    def density(xi: np.ndarray) -> np.ndarray:
-        return (_eval_density(phi, xi) - phi_0 / (1.0 - (xi - s0) ** 2)) / (xi - s)
+    def shared_phi(xi: np.ndarray) -> np.ndarray:
+        key = xi.tobytes()
+        if key not in table:
+            table[key] = _eval_density(phi, xi)
+        return table[key]
 
-    pv = pv_axis(density, spec, asymptotic_coeff=phi_at_infinity,
-                 refine_near=(s.imag, abs(s.real) or 0.5))
-    back = (1j if s.real < 0.0 else -1j) * math.pi * phi_0 / (1.0 + abs(s.real))
-    return TransformValue(pv.value + back, pv.abs_err, "contour")
+    out = []
+    for p in poles:
+        s0 = 1j * p.imag
+        if s0 not in phi_0s:
+            phi_0s[s0] = _hoelder_probe(phi, s0)
+        phi_0 = phi_0s[s0]
+
+        def density(xi: np.ndarray, p=p, s0=s0, phi_0=phi_0) -> np.ndarray:
+            return (shared_phi(xi) - phi_0 / (1.0 - (xi - s0) ** 2)) / (xi - p)
+
+        pv = pv_axis(density, spec, asymptotic_coeff=phi_at_infinity,
+                     refine_near=(p.imag, abs(p.real) or 0.5),
+                     conjugate_symmetric=conjugate_symmetric and p.imag == 0.0)
+        back = (1j if p.real < 0.0 else -1j) * math.pi * phi_0 / (1.0 + abs(p.real))
+        out.append(TransformValue(pv.value + back, pv.abs_err, "contour"))
+    return tuple(out) if isinstance(s, tuple) else out[0]

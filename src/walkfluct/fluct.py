@@ -105,21 +105,25 @@ def _h_shifted(model: IncrementModel, s1: complex, xi):
     return increment_char(model, xi) if s1 == 0 else lst_eval(model, xi, s1 - xi)
 
 
-def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, p: complex,
-                      spec: ContourSpec) -> tuple[complex, float]:
+def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, poles: tuple,
+                      spec: ContourSpec) -> list[tuple[complex, float]]:
     """(1/2 pi i) PV int log(1 - z h(xi, s1 - xi)) / (xi - p) dxi over the axis.
 
-    Returns the exponent and its error.  pv_axis_singular takes every p, on,
-    near or off the axis; on the axis (Re p = 0) it gives the exterior
-    Plemelj limit, the value continued from Re p > 0.
+    Returns the exponent and its error at each pole p of poles, from one phi
+    table.  pv_axis_singular takes every p, on, near or off the axis; on the
+    axis (Re p = 0) it gives the exterior Plemelj limit, the value continued
+    from Re p > 0.  h is the transform of a real pair, so at real z and s1
+    phi is conjugate-symmetric and a real pole needs half the axis.
     """
     model = wf.model
 
     def phi(xi):
         return _log(1.0 - z * _h_shifted(model, s1, np.asarray(xi, dtype=complex)))
 
-    pv = pv_axis_singular(phi, p, spec, phi_at_infinity=0.0)
-    return pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI
+    symmetric = complex(z).imag == 0.0 and complex(s1).imag == 0.0
+    pvs = pv_axis_singular(phi, poles, spec, phi_at_infinity=0.0,
+                           conjugate_symmetric=symmetric)
+    return [(pv.value / _TWO_PI_I, pv.abs_err / _TWO_PI) for pv in pvs]
 
 
 def first_descent_transform(wf: WalkFunctionals, z: complex, s1: complex, s2: complex,
@@ -138,7 +142,7 @@ def first_descent_transform(wf: WalkFunctionals, z: complex, s1: complex, s2: co
     if z == 0:
         return TransformValue(0j, 0.0, "contour")
     p = s1 + s2
-    j, j_err = _descent_exponent(wf, z, s1, p, spec)
+    [(j, j_err)] = _descent_exponent(wf, z, s1, (p,), spec)
     front = 1.0 - z * _h_shifted(wf.model, s1, p) if p.real >= 0.0 else 1.0
     tail = front * cmath.exp(j)
     return _contour_value(1.0 - tail, abs(tail) * j_err, spec)
@@ -170,8 +174,7 @@ def transient_max_transform(wf: WalkFunctionals, z: complex, s: complex,
     _check_interior(z, s)
     if z == 0:
         return TransformValue(1.0 + 0j, 0.0, "contour")
-    j_s, err_s = _descent_exponent(wf, z, 0.0, s, spec)
-    j_0, err_0 = _descent_exponent(wf, z, 0.0, 0j, spec)
+    (j_s, err_s), (j_0, err_0) = _descent_exponent(wf, z, 0.0, (s, 0j), spec)
     value = cmath.exp(j_s - j_0) / (1.0 - z)
     err = abs(value) * (err_s + err_0)
     # value grows like 1/(1 - z); tol applies to (1 - z) * value
@@ -200,7 +203,7 @@ def wienerhopf_factors(wf: WalkFunctionals, z: complex, s: complex,
         return 1.0 + 0j, 1.0 + 0j, 0.0
     alt = ContourSpec(T=spec.T * 1.5, nodes=spec.nodes + max(1, spec.nodes // 3),
                       tol=spec.tol)
-    q_main, q_alt = (_contour_value(*_descent_exponent(wf, z, 0.0, s, sp), spec).value
+    q_main, q_alt = (_contour_value(*_descent_exponent(wf, z, 0.0, (s,), sp)[0], spec).value
                      for sp in (spec, alt))
     psi_plus = cmath.exp(-q_main)
     psi_minus = kernel_val * cmath.exp(q_alt)

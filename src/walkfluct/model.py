@@ -382,6 +382,9 @@ class IncrementModel:
     returns a pair of nonnegative float arrays, or is None for transform-only
     kernels.  b_abscissa/a_abscissa bound the analytic continuation of the
     marginal formulas below Re s = 0 (0.0 means no continuation is claimed).
+    lst is the transform of a real pair, so h(conj s1, conj s2) =
+    conj h(s1, s2); the contour engine relies on this to evaluate real-
+    argument integrands on the upper half of the imaginary axis only.
     """
 
     kind: str

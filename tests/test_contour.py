@@ -259,6 +259,48 @@ def test_hoelder_warning_on_jump_density():
         pv_axis_singular(phi, 1j, ContourSpec(tol=1.0), phi_at_infinity=1.0)
 
 
+def _counted(phi):
+    seen = []
+
+    def wrapped(xi):
+        seen.append(np.size(xi))
+        return phi(xi)
+    return wrapped, seen
+
+
+@pytest.mark.parametrize("s", [0.65, 0.0, -0.65, 1e-8])
+def test_conjugate_symmetric_phi_needs_the_upper_half_axis_only(spec, s):
+    # at real z the M/M/1 phi has phi(conj xi) = conj phi(xi), so at a real
+    # pole the integrand's terms at -iy are the conjugates of those at +iy
+    z = 0.5
+    phi = lambda xi: np.log(1 - z * _h(xi, -xi))
+    plain, n_plain = _counted(phi)
+    reflected, n_reflected = _counted(phi)
+    full = pv_axis_singular(plain, s, spec)
+    half = pv_axis_singular(reflected, s, spec, conjugate_symmetric=True)
+    assert abs(half.value - full.value) <= 1e-15 * (1.0 + abs(full.value))
+    assert abs(half.abs_err - full.abs_err) <= 1e-15 * (1.0 + abs(full.value))
+    # the smoothness probe at s0 = 0 takes 9 points on both routes
+    assert n_plain[0] == n_reflected[0] == 9
+    assert sum(n_reflected[1:]) * 2 == sum(n_plain[1:])
+
+
+def test_poles_of_one_call_share_phi(spec):
+    # a tuple of poles gives each pole's scalar value, from one phi table:
+    # the bands [T, 2T] and [2T, 4T] are evaluated once, as is the probe at
+    # the shared s0 = 0 of the real poles
+    z = 0.6 + 0.2j
+    phi = lambda xi: np.log(1 - z * _h(xi, -xi))
+    poles = (1.0 + 0.3j, 0j, 0.7)
+    alone = [pv_axis_singular(phi, p, spec) for p in poles]
+    counted, seen = _counted(phi)
+    shared = pv_axis_singular(counted, poles, spec)
+    assert shared == tuple(alone)
+    # [0, T] has 120 unit panels, plus 5 refinement edges toward 0 at the
+    # scale 0.5 of the pole 0 and 6 at the scale 0.7 of the pole 0.7
+    assert sum(seen) == 2 * 9 + 2 * 24 * (360 + 120 + 125 + 126)
+
+
 def test_boundary_values_plemelj_consistency(spec):
     # the Cauchy transform of phi along the axis has the exterior limit
     # pv / (2 pi i) and the interior limit that plus phi(s); check both

@@ -281,6 +281,69 @@ _DET_UNIFORM = build_product_model(Deterministic(0.7), Uniform(0.2, 2.0),
                                    label="det_uniform")
 
 
+# --- kernel evaluations per transform -----------------------------------------
+
+
+def _contour_call(functional, wf, z, s, spec):
+    return {"busy": lambda: busy_period_transform(wf, z, s, spec),
+            "idle": lambda: idle_period_transform(wf, z, s, spec),
+            "steps": lambda: steps_pgf(wf, z, spec),
+            "max": lambda: transient_max_transform(wf, z, s, spec)}[functional]()
+
+
+def test_contour_transforms_evaluate_half_the_axis_at_real_arguments(models, spec):
+    # at real (z, s) every exponent's integrand is conjugate-symmetric, so
+    # the kernel is evaluated on the upper half-axis only (23,290 points per
+    # exponent on both half-axes), and max's two poles share one phi table
+    model = models["product_mm1"]
+    points = [0]
+
+    def counting_lst(s1, s2):
+        points[0] += np.broadcast(np.asarray(s1), np.asarray(s2)).size
+        return model.lst(s1, s2)
+
+    wf = walk_functionals(dataclasses.replace(model, lst=counting_lst))
+
+    def count(functional, z, s):
+        points[0] = 0
+        _contour_call(functional, wf, z, s, spec)
+        return points[0]
+
+    for functional in ("busy", "idle", "steps"):
+        assert count(functional, 0.5, 0.65) <= 11_700, functional
+    assert count("busy", 0.6 + 0.2j, 1.0 + 0.3j) >= 23_000
+    for z, s in ((0.5, 0.65), (0.6 + 0.2j, 1.0 + 0.3j)):
+        assert count("max", z, s) <= 1.3 * count("steps", z, s), (z, s)
+
+
+@pytest.mark.parametrize("name", ["product_mm1", "threshold_exp", "markov_2state",
+                                  "det_uniform"])
+def test_contour_transforms_commute_with_conjugation(models, spec, name):
+    # h is the transform of a real pair, h(conj a, conj b) = conj h(a, b), and
+    # the upper-half-axis quadrature at real arguments rests on it: every
+    # transform at (conj z, conj s) is the conjugate of its value at (z, s).
+    # Max on the Deterministic/Uniform walk raises NoConvergence at most
+    # points (CHANGES.md FOUND line); both sides must then raise, and the
+    # transforms the exceptions carry must agree the same way.
+    wf = walk_functionals(_DET_UNIFORM if name == "det_uniform" else models[name])
+
+    def outcome(functional, z, s):
+        try:
+            tv = _contour_call(functional, wf, z, s, spec)
+            return True, tv.value, tv.abs_err
+        except NoConvergence as exc:
+            return False, exc.best, exc.abs_err
+
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        z = 0.5 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        s = complex(0.2 + 1.8 * rng.random(), 2.0 * rng.random() - 1.0)
+        for functional in ("busy", "idle", "steps", "max"):
+            ok_a, va, ea = outcome(functional, z, s)
+            ok_b, vb, eb = outcome(functional, z.conjugate(), s.conjugate())
+            assert ok_a == ok_b and abs(vb - va.conjugate()) <= ea + eb, (functional, z, s)
+
+
 @pytest.mark.parametrize("z,s", [(0.3, 0.5), (0.5 + 0.3j, 0.8 - 0.6j), (0.6, 3.0)])
 @pytest.mark.parametrize("functional", ["busy", "idle", "steps"])
 def test_det_uniform_contour_at_default_spec(spec, functional, z, s):
