@@ -317,13 +317,9 @@ def _cmd_compare(args) -> int:
     def worker(pt):
         z, s = pt
         ct = busy_period_transform(wf, z, s, spec)
-        if has_kernel:
-            rt = busy_period_rational(wf, z, s)
-            gap = abs(ct.value - rt.value)
-            eng_ok = gap < 5.0 * ct.abs_err + 1e-9
-        else:
-            rt = TransformValue(complex("nan"), 0.0, "rational")
-            gap, eng_ok = float("nan"), True
+        rt = busy_period_rational(wf, z, s).value if has_kernel else complex(math.nan, math.nan)
+        gap = abs(ct.value - rt)
+        eng_ok = not has_kernel or gap < 5.0 * ct.abs_err + 1e-9
         cap = args.cap if args.cap is not None else default_cap(z)
         mc = estimate_functional(wf.model, z, s, 0.0, args.paths, cap, args.seed)
         noise = mc.std_err + mc.truncation_bias_bound + ct.abs_err
@@ -331,7 +327,7 @@ def _cmd_compare(args) -> int:
         mc_ok = rel < 4.0
         return [z.real, z.imag, complex(s).real, complex(s).imag,
                 ct.value.real, ct.value.imag, ct.abs_err,
-                rt.value.real, rt.value.imag, gap,
+                rt.real, rt.imag, gap,
                 mc.mean.real, mc.mean.imag, mc.std_err, rel,
                 eng_ok and mc_ok]
 

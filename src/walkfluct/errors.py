@@ -23,7 +23,7 @@ class PoleError(WalkfluctError):
 
 
 class UnsupportedModel(WalkfluctError):
-    """Requested operation is not available for this model kind."""
+    """The model or engine lacks what the call needs: kernel, sampler or route."""
 
 
 class InvalidSpec(WalkfluctError):

@@ -33,8 +33,6 @@ __all__ = [
     "builtin_models",
 ]
 
-_KINDS = frozenset({"product", "threshold", "markov_modulated", "rational_custom"})
-
 
 def _em(w):
     """(1 - exp(-w)) / w, complex-safe and stable near w = 0."""
@@ -329,14 +327,13 @@ class RationalKernel:
     (z, s) to the descending coefficients in xi of a polynomial proportional
     to h2(xi, s-xi) - z*h1(xi, s-xi); the clearing factor vanishes only at
     points with Re xi > 0 whenever Re s >= 0, so it leaves left-half-plane
-    zeros intact.  static_h2 states that every h2 coefficient is a constant,
-    so that h2(xi, s-xi) is the same polynomial in xi at every s.
+    zeros intact.  static_h2 (derived) holds when each h2 coefficient takes one
+    value at s2 = 0, 1.7, 2.3 + 0.9i: h2(xi, s-xi) is then the same at every s.
     """
 
     h1_coeffs: tuple
     h2_coeffs: tuple
     clear_fn: Callable | None = None
-    static_h2: bool = False
 
     @property
     def degree(self) -> int:
@@ -347,10 +344,11 @@ class RationalKernel:
             raise InvalidSpec("kernel degree must be at least 1")
         if len(self.h1_coeffs) > self.degree:
             raise InvalidSpec("deg h1 must be strictly below deg h2")
-        for probe in (0.0, 1.7, 2.3 + 0.9j):
-            lead = complex(np.asarray(self.h2_coeffs[0](probe)).reshape(()))
-            if abs(lead - 1.0) > 1e-9:
-                raise InvalidSpec("leading h2 coefficient must be identically 1")
+        probes = (0.0, 1.7, 2.3 + 0.9j)
+        values = [[complex(np.asarray(c(p)).reshape(())) for p in probes] for c in self.h2_coeffs]
+        if any(abs(lead - 1.0) > 1e-9 for lead in values[0]):
+            raise InvalidSpec("leading h2 coefficient must be identically 1")
+        object.__setattr__(self, "static_h2", all(len(set(v)) == 1 for v in values))
 
     def _horner(self, coeffs, s1, s2):
         s1 = np.asarray(s1, dtype=complex)
@@ -360,8 +358,6 @@ class RationalKernel:
         return acc
 
     def eval_h1(self, s1, s2):
-        if not self.h1_coeffs:
-            return np.zeros(np.broadcast(np.asarray(s1), np.asarray(s2)).shape, dtype=complex)
         return self._horner(self.h1_coeffs, s1, s2)
 
     def eval_h2(self, s1, s2):
@@ -385,9 +381,10 @@ class IncrementModel:
     lst is the transform of a real pair, so h(conj s1, conj s2) =
     conj h(s1, s2); the contour engine relies on this to evaluate real-
     argument integrands on the upper half of the imaginary axis only.
+    A rational kernel must restate lst: h1/h2 is checked against it at
+    three probes with Re s1 >= 0 and Re s2 >= 0.
     """
 
-    kind: str
     lst: Callable
     sampler: Callable | None
     mean_b: float
@@ -398,13 +395,18 @@ class IncrementModel:
     a_abscissa: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidSpec(f"unknown model kind {self.kind!r}")
         if not (self.mean_b >= 0 and self.mean_a >= 0):
             raise InvalidSpec("means must be nonnegative")
         norm = complex(np.asarray(self.lst(0.0, 0.0)).reshape(()))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidSpec(f"h(0,0) = {norm:.12g}, expected 1")
+        if self.rational is not None:
+            s1 = np.array([0.4, 1.3 + 0.8j, 0.1 - 2.2j])
+            s2 = np.array([0.25, 0.6 - 0.45j, 1.5 + 0.2j])
+            h = np.asarray(self.lst(s1, s2), dtype=complex)
+            gap = np.abs(h - self.rational.eval_h1(s1, s2) / self.rational.eval_h2(s1, s2))
+            if not (gap <= 1e-9 * (1.0 + np.abs(h))).all():
+                raise InvalidSpec("lst and the rational kernel's h1/h2 disagree")
 
 
 def lst_eval(model: IncrementModel, s1, s2):
@@ -476,9 +478,9 @@ def build_product_model(b_law: DistributionSpec, a_law: DistributionSpec,
         # one visit: the visit-count PGF is x, so (N, D) = (x, 1)
         clear_fn = None if a_rat is None else _cleared(((0.0, 1.0), (1.0,)), num, den, a_rat)
         kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(den),
-                                clear_fn=clear_fn, static_h2=True)
+                                clear_fn=clear_fn)
     return IncrementModel(
-        kind="product", lst=lst, sampler=sampler,
+        lst=lst, sampler=sampler,
         mean_b=b_law.mean, mean_a=a_law.mean, rational=kernel,
         label=label or "product", b_abscissa=b_law.abscissa, a_abscissa=a_law.abscissa)
 
@@ -520,10 +522,10 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
          v * a_law.lst(s2) + w * a_law.lower_lst(s2, l))
         for u, v in zip(c1, c2)
     )
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(h2_poly), static_h2=True)
+    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(h2_poly))
     mean_b = f1.mean * p_low + f2.mean * (1.0 - p_low)
     return IncrementModel(
-        kind="threshold", lst=lst, sampler=sampler,
+        lst=lst, sampler=sampler,
         mean_b=mean_b, mean_a=a_law.mean, rational=kernel,
         label=label or "threshold",
         b_abscissa=max(f1.abscissa, f2.abscissa), a_abscissa=a_law.abscissa)
@@ -668,7 +670,7 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
     clear_fn = None if g_rat is None else _cleared(pgf, n_f, d_f, g_rat)
     kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, clear_fn=clear_fn)
     return IncrementModel(
-        kind="markov_modulated", lst=lst, sampler=sampler,
+        lst=lst, sampler=sampler,
         mean_b=visits * f1_over_f2.mean, mean_a=visits * g0.mean, rational=kernel,
         label=label or "markov_modulated",
         b_abscissa=f1_over_f2.abscissa, a_abscissa=g0.abscissa)

@@ -67,9 +67,14 @@ def _read_csv(path):
 # --- model files -------------------------------------------------------------
 
 
-def test_load_model_product(mm1_file):
+def _same_lst(loaded, builtin):
+    probe = (0.3 + 0.2j, 0.5 - 0.1j)
+    return complex(loaded.lst(*probe)) == complex(builtin.lst(*probe))
+
+
+def test_load_model_product(mm1_file, models):
     m = load_model(mm1_file)
-    assert m.kind == "product"
+    assert _same_lst(m, models["product_mm1"])
     assert m.label == "mm1"  # defaults to the file stem
     assert m.mean_b == pytest.approx(0.5)
     assert m.mean_a == pytest.approx(1.0)
@@ -82,15 +87,15 @@ def test_load_model_label_field(tmp_path):
     assert load_model(str(p)).label == "custom"
 
 
-@pytest.mark.parametrize("text,kind", [
-    (THRESHOLD_YAML, "threshold"),
-    (MARKOV_YAML, "markov_modulated"),
+@pytest.mark.parametrize("text,name", [
+    (THRESHOLD_YAML, "threshold_exp"),
+    (MARKOV_YAML, "markov_2state"),
 ])
-def test_load_model_other_kinds(tmp_path, text, kind):
+def test_load_model_other_kinds(tmp_path, models, text, name):
     p = tmp_path / "m.yaml"
     p.write_text(text)
     m = load_model(str(p))
-    assert m.kind == kind
+    assert _same_lst(m, models[name])
     assert m.rational is not None
 
 
@@ -327,6 +332,24 @@ def test_compare_single_point(mm1_file, tmp_path):
     row = _read_csv(out)[0]
     assert row["ok"] == "1"
     assert float(row["engine_gap"]) < 1e-6
+    assert float(row["mc_gap_over_se"]) < 4.0
+
+
+def test_compare_without_rational_kernel(tmp_path):
+    # a Deterministic B law has no kernel: the rational columns read nan and
+    # ok is the contour-vs-MC check alone
+    model = tmp_path / "det_uniform.yaml"
+    model.write_text("schema_version: 1\nkind: product\n"
+                     "b: {family: deterministic, value: 0.7}\n"
+                     "a: {family: uniform, lo: 0.2, hi: 2.0}\n")
+    out = tmp_path / "c.csv"
+    rc = run(["compare", "--model", str(model), "--z", "0.3", "--s", "0.5",
+              "--paths", "4000", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    row = _read_csv(out)[0]
+    for col in ("rational_re", "rational_im", "engine_gap"):
+        assert math.isnan(float(row[col])), col
+    assert row["ok"] == "1"
     assert float(row["mc_gap_over_se"]) < 4.0
 
 

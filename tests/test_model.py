@@ -1,5 +1,6 @@
 """Increment models: transforms, kernels, samplers, constructors."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from walkfluct.model import (
     Erlang,
     Exponential,
     Hyperexponential,
+    IncrementModel,
     RationalKernel,
     Uniform,
     _em,
@@ -349,6 +351,25 @@ def test_kernel_validation():
         # leading h2 coefficient must be the constant 1
         RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one))
     assert RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one)).degree == 1
+
+
+def test_static_h2_is_derived_from_the_coefficients(models):
+    one = lambda s2: 1.0
+    half = lambda s2: 0.5
+    assert [models[n].rational.static_h2 for n in MODEL_NAMES] == [True, True, False]
+    assert RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one)).static_h2
+    moving = RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, lambda s2: 1.0 + s2))
+    assert not moving.static_h2
+    with pytest.raises(TypeError):
+        RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one), static_h2=True)
+    with pytest.raises(TypeError):
+        IncrementModel(kind="product", lst=lambda s1, s2: 1.0, sampler=None,
+                       mean_b=1.0, mean_a=2.0)
+
+
+def test_kernel_must_restate_lst(models):
+    with pytest.raises(InvalidSpec):
+        dataclasses.replace(models["markov_2state"], rational=models["product_mm1"].rational)
 
 
 def test_lst_eval_domain_guards(models):

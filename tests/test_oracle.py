@@ -79,7 +79,6 @@ def test_tie_splitting_exact_mean():
     # deterministic (1,1) steps: every partial sum ties at zero, so the
     # half-weight rule gives the geometric sum of q = z e^{-s1} / 2 exactly
     model = IncrementModel(
-        kind="rational_custom",
         lst=lambda s1, s2: np.exp(-s1 - s2),
         sampler=lambda rng, size: (np.ones(size), np.ones(size)),
         mean_b=1.0, mean_a=1.0)
@@ -122,9 +121,7 @@ def test_estimator_z_zero_is_exact(mm1):
 
 
 def test_estimator_needs_sampler():
-    model = IncrementModel(kind="rational_custom",
-                           lst=lambda s1, s2: 1.0, sampler=None,
-                           mean_b=1.0, mean_a=2.0)
+    model = IncrementModel(lst=lambda s1, s2: 1.0, sampler=None, mean_b=1.0, mean_a=2.0)
     with pytest.raises(UnsupportedModel):
         estimate_functional(model, 0.5, 0.0, 0.0, paths=2, cap=2, seed=0)
 

@@ -186,7 +186,7 @@ def test_random_kernels_count_equals_degree():
         z, s = regime_point(rng, trial % 2)
         rep = find_kernel_roots(mdl.rational, z, s)
         assert rep.count_argument_principle == mdl.rational.degree, (
-            f"trial {trial}: {mdl.label or mdl.kind} at z={z:.3f}, s={s:.3f}")
+            f"trial {trial}: {mdl.label} at z={z:.3f}, s={s:.3f}")
         assert max(rep.residuals) < 1e-8 * max(
             1.0, abs(complex(mdl.rational.eval_shifted(0.0, z, s))))
         for r in rep.roots:
