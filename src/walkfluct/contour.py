@@ -15,7 +15,8 @@ Densities decaying faster than 1/|xi| have c1 = 0 and the correction drops
 out.  The limit is taken by one fixed ladder: truncations at T, 2T and 4T,
 nested so that every node is evaluated once, then 1/T-Richardson
 extrapolation.  Each node count's Gauss-Legendre rule is built once per
-process and shared with ``roots``, so a call costs its density evaluations.
+process and shared with ``roots``, as is each band's panel layout, so a call
+costs its density evaluations (at s1 = 0, ``fluct`` tabulates h per model).
 ``pv_axis_singular`` gives the Cauchy value of phi(xi)/(xi - s) at any s, on
 or off the axis, by subtracting phi at the nearest axis point times a unit
 Lorentzian whose own Cauchy value is known in closed form.  It takes a tuple
@@ -89,6 +90,17 @@ class TransformValue:
             raise ValueError("value must be finite")
 
 
+def _refinement(lo: float, hi: float, refine_near: tuple[float, float] | None) -> np.ndarray:
+    """The edges inside (lo, hi) that refine_near adds to the unit panels."""
+    y0, scale = map(abs, refine_near or (0.0, 0.0))
+    pts, off = [y0] if 0.0 < scale < 1.0 else [], scale / 16.0
+    while pts and off <= 2.0:
+        pts += [y0 - off, y0 + off]
+        off *= 2.0
+    pts = np.array(pts)
+    return pts[(lo < pts) & (pts < hi)]
+
+
 def _panel_edges(lo: float, hi: float, refine_near: tuple[float, float] | None) -> np.ndarray:
     """Panel edges on [lo, hi]: ceil(hi - lo) equal panels plus refinement.
 
@@ -98,18 +110,7 @@ def _panel_edges(lo: float, hi: float, refine_near: tuple[float, float] | None) 
     half-axes onto the positive one, hence the abs().
     """
     edges = np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1)
-    if refine_near is not None:
-        y0, scale = abs(refine_near[0]), abs(refine_near[1])
-        if 0.0 < scale < 1.0:
-            pts = [y0]
-            off = scale / 16.0
-            while off <= 2.0:
-                pts.append(y0 - off)
-                pts.append(y0 + off)
-                off *= 2.0
-            pts = np.array(pts)
-            edges = np.concatenate((edges, pts[(lo < pts) & (pts < hi)]))
-    out = np.unique(edges)
+    out = np.unique(np.concatenate((edges, _refinement(lo, hi, refine_near))))
     keep = np.concatenate(([True], np.diff(out) > 1e-12 * max(hi, 1.0)))
     return out[keep]
 
@@ -146,6 +147,30 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _panel_nodes(a: np.ndarray, b: np.ndarray, nodes: int) -> tuple[np.ndarray, ...]:
+    """Nodes iy and -iy and weights of the rule on the panels [a_j, b_j], in order."""
+    x, w = _gauss_legendre(nodes)
+    half = 0.5 * (b - a)
+    ys = (0.5 * (b + a)[:, None] + half[:, None] * x).ravel()
+    return 1j * ys, -1j * ys, (half[:, None] * w).ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, ...]:
+    """Edges, nodes iy and -iy and weights of the band's unit panels; read-only."""
+    edges = _panel_edges(lo, hi, None)
+    layout = (edges, *_panel_nodes(edges[:-1], edges[1:], nodes))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _ladder(T: float) -> list[tuple[float, float]]:
+    """The bands [0, T], [T, 2T] and [2T, 4T] that the ladder adds in turn."""
+    heights = [T * k for k in _LADDER]
+    return list(zip([0.0] + heights[:-1], heights))
+
+
 def _band(density, lo: float, hi: float, nodes: int,
           refine_near: tuple[float, float] | None,
           conjugate_symmetric: bool = False) -> np.ndarray:
@@ -154,19 +179,28 @@ def _band(density, lo: float, hi: float, nodes: int,
     The terms w*(f(iy) + f(-iy)) sum to the band integral divided by i.  A
     conjugate-symmetric density, f(conj xi) = conj f(xi), has f(-iy) =
     conj f(iy), so its terms are 2w*Re f(iy) and only the upper half-axis is
-    evaluated.
+    evaluated.  Refinement splices sub-panels into the band's shared layout;
+    the replaced panels are evaluated only for a density that sets whole_layout.
     """
-    edges = _panel_edges(lo, hi, refine_near)
-    x, w = _gauss_legendre(nodes)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    upper = _eval_density(density, 1j * ys)
-    if conjugate_symmetric:
-        # kept complex, so the ladder sums it exactly as it sums f(iy) + f(-iy)
-        return ws * (2.0 * upper.real + 0j)
-    return ws * (upper + _eval_density(density, -1j * ys))
+    def terms(up, down, ws):
+        upper = _eval_density(density, up)
+        if conjugate_symmetric:
+            # kept complex, so the ladder sums it exactly as it sums f(iy) + f(-iy)
+            return ws * (2.0 * upper.real + 0j)
+        return ws * (upper + _eval_density(density, down))
+
+    layout = _layout(lo, hi, nodes)
+    if not _refinement(lo, hi, refine_near).size:
+        return terms(*layout[1:])
+    edges, unit_edges = _panel_edges(lo, hi, refine_near), layout[0]
+    k = np.minimum(np.searchsorted(unit_edges, edges[:-1]), len(unit_edges) - 2)
+    unit = (unit_edges[k] == edges[:-1]) & (unit_edges[k + 1] == edges[1:])
+    idx = (k[unit][:, None] * nodes + np.arange(nodes)).ravel()   # kept unit-panel nodes
+    at_unit, out = np.repeat(unit, nodes), np.empty(len(unit) * nodes, dtype=complex)
+    whole = getattr(density, "whole_layout", False)
+    out[at_unit] = terms(*layout[1:])[idx] if whole else terms(*(a[idx] for a in layout[1:]))
+    out[~at_unit] = terms(*_panel_nodes(edges[:-1][~unit], edges[1:][~unit], nodes))
+    return out
 
 
 def _neville_table(hs, vals):
@@ -214,10 +248,10 @@ def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
     about a panel of the axis unless refine_near names its ordinate; the
     engines always pass refine_near.
     """
-    heights = [spec.T * k for k in _LADDER]
+    bands = _ladder(spec.T)
     c1 = complex(asymptotic_coeff)
     terms, vals = [], []
-    for lo, hi in zip([0.0] + heights[:-1], heights):
+    for lo, hi in bands:
         terms.append(_band(density, lo, hi, spec.nodes, refine_near, conjugate_symmetric))
         # one sum over all of [0, hi] rounds exactly as a single truncation would
         raw = 1j * complex(np.sum(np.concatenate(terms)))
@@ -225,7 +259,7 @@ def pv_axis(density, spec: ContourSpec, *, asymptotic_coeff: complex,
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise EvalError(f"truncated integral at T = {hi:g} is not finite")
         vals.append(v)
-    value, err = _extrapolate([1.0 / T for T in heights], vals)
+    value, err = _extrapolate([1.0 / hi for _, hi in bands], vals)
     err = max(err, 1e-15 * (1.0 + abs(value)))
     return TransformValue(value=value, abs_err=err, method="contour")
 
@@ -268,21 +302,20 @@ def pv_axis_singular(phi, s: complex | tuple[complex, ...], spec: ContourSpec, *
     phi(s).  Warns HoelderSuspect when a probe finds phi too rough at s0.
 
     s may be one pole or a tuple of poles, for a TransformValue or a tuple of
-    them.  The poles of one call share phi: it is evaluated once per distinct
-    panel layout and probed once per distinct s0, and the table is freed when
-    the call returns.  conjugate_symmetric states that phi(conj xi) =
-    conj phi(xi); at a real pole the integrand then is conjugate-symmetric
-    too, and pv_axis evaluates it on the upper half-axis only.
+    them.  The poles of one call share phi: it is evaluated once on each
+    band's shared layout and probed once per distinct s0, and the table is
+    freed when the call returns.  conjugate_symmetric states that phi(conj
+    xi) = conj phi(xi); at a real pole the integrand then is conjugate-
+    symmetric too, and pv_axis evaluates it on the upper half-axis only.
     """
     poles = tuple(map(complex, s)) if isinstance(s, tuple) else (complex(s),)
     phi_0s: dict[complex, complex] = {}
-    table: dict[bytes, np.ndarray] = {}
+    table: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def shared_phi(xi: np.ndarray) -> np.ndarray:
-        key = xi.tobytes()
-        if key not in table:
-            table[key] = _eval_density(phi, xi)
-        return table[key]
+        if id(xi) not in table:   # the entry keeps xi alive, so its id stays its own
+            table[id(xi)] = (xi, _eval_density(phi, xi))
+        return table[id(xi)][1]
 
     out = []
     for p in poles:
@@ -293,6 +326,7 @@ def pv_axis_singular(phi, s: complex | tuple[complex, ...], spec: ContourSpec, *
 
         def density(xi: np.ndarray, p=p, s0=s0, phi_0=phi_0) -> np.ndarray:
             return (shared_phi(xi) - phi_0 / (1.0 - (xi - s0) ** 2)) / (xi - p)
+        density.whole_layout = len(poles) > 1   # the poles share phi on the whole layout
 
         pv = pv_axis(density, spec, asymptotic_coeff=phi_at_infinity,
                      refine_near=(p.imag, abs(p.real) or 0.5),

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # pv_axis is unused here; it stays bound because bench/tracing.py swaps fluct.pv_axis
-from .contour import ContourSpec, TransformValue, _extrapolate, pv_axis, pv_axis_singular
+from .contour import (ContourSpec, TransformValue, _extrapolate, _ladder, _layout, pv_axis,
+                      pv_axis_singular)
 from .errors import DomainError, NoConvergence, StabilityError, UnsupportedModel
 from .model import IncrementModel, RationalKernel, increment_char, lst_eval
 from .roots import RootReport, find_kernel_roots
@@ -105,6 +106,14 @@ def _h_shifted(model: IncrementModel, s1: complex, xi):
     return increment_char(model, xi) if s1 == 0 else lst_eval(model, xi, s1 - xi)
 
 
+@functools.lru_cache(maxsize=32)
+def _step_table(model: IncrementModel, lo: float, hi: float, nodes: int) -> np.ndarray:
+    # h(iy, -iy) on a band's upper-half layout, for every z and pole; at -iy h is its conjugate
+    h = increment_char(model, _layout(lo, hi, nodes)[1])
+    h.flags.writeable = False
+    return h
+
+
 def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, poles: tuple,
                       spec: ContourSpec) -> list[tuple[complex, float]]:
     """(1/2 pi i) PV int log(1 - z h(xi, s1 - xi)) / (xi - p) dxi over the axis.
@@ -116,8 +125,14 @@ def _descent_exponent(wf: WalkFunctionals, z: complex, s1: complex, poles: tuple
     phi is conjugate-symmetric and a real pole needs half the axis.
     """
     model = wf.model
+    bands = _ladder(spec.T) if s1 == 0 else []
 
     def phi(xi):
+        for lo, hi in bands:
+            _, up, down, _ = _layout(lo, hi, spec.nodes)
+            if xi is up or xi is down:
+                upper = _step_table(model, lo, hi, spec.nodes)
+                return _log(1.0 - z * (upper if xi is up else upper.conj()))
         return _log(1.0 - z * _h_shifted(model, s1, np.asarray(xi, dtype=complex)))
 
     symmetric = complex(z).imag == 0.0 and complex(s1).imag == 0.0

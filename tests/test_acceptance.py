@@ -139,7 +139,7 @@ def test_criterion_07_count_certification():
         mdl = random_rational_model(rng)
         z, s = regime_point(rng, trial % 2)
         n_h2, n_shifted, equal = verify_rouche(mdl.rational, z, s)
-        assert equal, (trial, mdl.label or mdl.kind, z, s)
+        assert equal, (trial, mdl.label, z, s)
         assert n_h2 == mdl.rational.degree == n_shifted
     # counting contour radius is immaterial once all zeros are enclosed
     rng = np.random.default_rng(99)

@@ -15,6 +15,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 import pytest
 
 import walkfluct
+import walkfluct.fluct
 from walkfluct.cli import emit_csv, load_model, random_atomic_measure, run
 from walkfluct.errors import ParseError
 from walkfluct.fluct import busy_period_rational, walk_functionals
@@ -451,6 +452,21 @@ def test_thread_pool_gives_same_csv(mm1_file, tmp_path, monkeypatch):
     monkeypatch.setenv("WALKFLUCT_THREADS", "4")
     assert run(args + ["--out", str(pooled)]) == 0
     assert single.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize("functional", ["idle", "max"])
+def test_thread_pool_fills_step_tables_alike(mm1_file, tmp_path, monkeypatch, functional):
+    # the grid's points fill the model's shared h tables concurrently on the
+    # first calls; one thread and four must write the same bytes
+    args = ["eval", functional, "--model", mm1_file, "--engine", "contour",
+            "--z", "0.3,0.5+0.2j,0.7", "--s", "0.4,1.2+0.5j,2.0"]
+    outputs = []
+    for threads in ("1", "4"):
+        walkfluct.fluct._step_table.cache_clear()
+        monkeypatch.setenv("WALKFLUCT_THREADS", threads)
+        outputs.append(tmp_path / f"{threads}.csv")
+        assert run(args + ["--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_unwritable_output_is_io_failure(mm1_file, tmp_path):

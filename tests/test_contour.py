@@ -202,6 +202,64 @@ def test_gauss_legendre_rule_is_shared_and_read_only(n):
             arr *= 2.0
 
 
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 120.0, 24), (240.0, 480.0, 24), (0.0, 0.5, 8)])
+def test_band_layout_is_shared_and_read_only(lo, hi, n):
+    edges, up, down, ws = contour._layout(lo, hi, n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)
+    ys = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x[None, :]).ravel()
+    assert np.array_equal(edges, _panel_edges(lo, hi, None))
+    assert np.array_equal(up, 1j * ys) and np.array_equal(down, -1j * ys)
+    assert np.array_equal(ws, (half[:, None] * w[None, :]).ravel())
+    assert contour._layout(lo, hi, n)[1] is up
+    for arr in (edges, up, down, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
+def test_band_layout_cache_is_bounded():
+    maxsize = contour._layout.cache_info().maxsize
+    first = contour._layout(1000.0, 1001.0, 8)
+    for k in range(1, maxsize + 1):
+        last = contour._layout(1000.0, 1001.0 + k, 8)
+    assert contour._layout(1000.0, 1001.0 + maxsize, 8) is last
+    assert contour._layout(1000.0, 1001.0, 8) is not first
+
+
+@pytest.mark.parametrize("lo, hi, refine_near", [
+    (0.0, 120.0, (0.0, 0.5)), (0.0, 120.0, (-0.3, 0.7)), (0.0, 120.0, (30.5, 1e-3)),
+    (0.0, 120.0, (5.0, 0.5)),                 # refinement edges on unit edges
+    (0.0, 120.0, (4.0 - 1e-13, 0.25)),        # one just below a unit edge, which it displaces
+    (120.0, 240.0, (119.5, 0.5)), (0.0, 100.5, (7.3, 0.9)),
+])
+@pytest.mark.parametrize("conjugate_symmetric", [False, True])
+def test_refined_band_terms_match_one_pass_over_its_panels(lo, hi, refine_near,
+                                                           conjugate_symmetric):
+    # refinement splices its sub-panels into the shared unit layout; the terms
+    # are exactly those of one pass over all panels of the refined edges, for
+    # a density that sees only the kept unit panels and for one handed the
+    # whole layout
+    def dens(xi):
+        return np.log(1 - 0.6 * _h(xi, -xi)) / (xi - (0.3 + 0.2j))
+
+    def whole(xi):
+        return dens(xi)
+    whole.whole_layout = True
+    edges = _panel_edges(lo, hi, refine_near)
+    x, w = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)
+    ys = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x[None, :]).ravel()
+    ws = (half[:, None] * w[None, :]).ravel()
+    upper = dens(1j * ys)
+    want = (ws * (2.0 * upper.real + 0j) if conjugate_symmetric
+            else ws * (upper + dens(-1j * ys)))
+    assert not np.array_equal(edges, contour._layout(lo, hi, 24)[0])
+    for f in (dens, whole):
+        assert np.array_equal(_band(f, lo, hi, 24, refine_near, conjugate_symmetric), want)
+
+
 @pytest.mark.parametrize("s, want", [
     (1.0 + 0.5j, 0.0), (1e-9 + 0.5j, 0.0),
     (-1.0 + 0.5j, TWO_PI_I), (-1e-9 + 0.5j, TWO_PI_I),
@@ -296,9 +354,10 @@ def test_poles_of_one_call_share_phi(spec):
     counted, seen = _counted(phi)
     shared = pv_axis_singular(counted, poles, spec)
     assert shared == tuple(alone)
-    # [0, T] has 120 unit panels, plus 5 refinement edges toward 0 at the
-    # scale 0.5 of the pole 0 and 6 at the scale 0.7 of the pole 0.7
-    assert sum(seen) == 2 * 9 + 2 * 24 * (360 + 120 + 125 + 126)
+    # the 120 unit panels of [0, T] are evaluated once too; the pole 0 adds
+    # only the 6 sub-panels its refinement edges (scale 0.5) split [0, 1]
+    # into, and the pole 0.7 the 6 + 2 it splits [0, 1] and [1, 2] into
+    assert sum(seen) == 2 * 9 + 2 * 24 * (360 + 120 + 6 + 8)
 
 
 def test_boundary_values_plemelj_consistency(spec):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from walkfluct.contour import ContourSpec
+from walkfluct.contour import ContourSpec, pv_axis_singular
 from walkfluct.errors import DomainError, NoConvergence, StabilityError, UnsupportedModel
 import walkfluct.fluct
 from walkfluct.fluct import (
@@ -30,6 +30,7 @@ from walkfluct.model import (
     IncrementModel,
     Uniform,
     build_product_model,
+    increment_char,
     lst_eval,
 )
 from walkfluct.oracle import spitzer_series
@@ -295,11 +296,9 @@ def _contour_call(functional, wf, z, s, spec):
             "max": lambda: transient_max_transform(wf, z, s, spec)}[functional]()
 
 
-def test_contour_transforms_evaluate_half_the_axis_at_real_arguments(models, spec):
-    # at real (z, s) every exponent's integrand is conjugate-symmetric, so
-    # the kernel is evaluated on the upper half-axis only (23,290 points per
-    # exponent on both half-axes), and max's two poles share one phi table
-    model = models["product_mm1"]
+def _counting(model):
+    # a copy of model that counts the kernel points it evaluates; its own lst
+    # makes it a new model, so no h table of another call serves it
     points = [0]
 
     def counting_lst(s1, s2):
@@ -307,9 +306,17 @@ def test_contour_transforms_evaluate_half_the_axis_at_real_arguments(models, spe
         return model.lst(s1, s2)
 
     wf = walk_functionals(dataclasses.replace(model, lst=counting_lst))
+    points[0] = 0
+    return wf, points
 
+
+def test_contour_transforms_evaluate_half_the_axis_at_real_arguments(models, spec):
+    # at real (z, s) every exponent's integrand is conjugate-symmetric, so
+    # the kernel is evaluated on the upper half-axis only (23,290 points per
+    # exponent on both half-axes), and max's two poles share one phi table;
+    # every count is a cold call on a fresh model
     def count(functional, z, s):
-        points[0] = 0
+        wf, points = _counting(models["product_mm1"])
         _contour_call(functional, wf, z, s, spec)
         return points[0]
 
@@ -318,6 +325,71 @@ def test_contour_transforms_evaluate_half_the_axis_at_real_arguments(models, spe
     assert count("busy", 0.6 + 0.2j, 1.0 + 0.3j) >= 23_000
     for z, s in ((0.5, 0.65), (0.6 + 0.2j, 1.0 + 0.3j)):
         assert count("max", z, s) <= 1.3 * count("steps", z, s), (z, s)
+
+
+def test_complex_pole_at_real_z_evaluates_the_upper_half_axis(models, spec):
+    # at s1 = 0, h(-iy) = conj h(iy) whatever the pole, so idle at a complex
+    # s and real z reads the lower half-axis from the upper one (a cold call
+    # evaluated 23,049 points on both half-axes)
+    wf, points = _counting(models["product_mm1"])
+    idle_period_transform(wf, 0.5, 1.0 + 0.3j, spec)
+    assert points[0] <= 11_700
+
+
+def test_step_table_serves_later_calls(models, spec):
+    # one max call fills the model's h table on all three bands, since its
+    # two poles share the whole layout; later s1 = 0 calls at other (z, s),
+    # at real or complex z, evaluate h only on refined sub-panels and
+    # smoothness probes, under a tenth of the layout.  A lone refined pole
+    # still evaluates the kept unit panels of [0, T] itself, so a cold call
+    # costs no more points than one without the table.
+    wf, points = _counting(models["product_mm1"])
+    transient_max_transform(wf, 0.5, 0.65, spec)
+    assert 11_520 <= points[0] <= 12_000
+
+    def count(functional, z, s):
+        points[0] = 0
+        _contour_call(functional, wf, z, s, spec)
+        return points[0]
+
+    for functional, z, s in (("idle", 0.3 + 0.4j, 1.5 + 0.5j), ("idle", 0.8, 2.5),
+                             ("max", 0.7, 0.4), ("max", 0.6 - 0.3j, 0.8 + 2.0j)):
+        assert count(functional, z, s) < 11_520 / 10, (functional, z, s)
+    assert 24 * 120 < count("steps", 0.7, None) <= 24 * 120 + 300
+
+
+@pytest.mark.parametrize("name", ["product_mm1", "markov_2state", "det_uniform"])
+def test_step_table_values_match_direct_evaluation(models, spec, name):
+    # cold or warm, the exponents that read h from the table are bit for bit
+    # those of evaluating h on both half-axes directly
+    model = _DET_UNIFORM if name == "det_uniform" else models[name]
+    wf = walk_functionals(model)
+
+    def direct(z, poles):
+        def phi(xi):
+            return walkfluct.fluct._log(1.0 - z * increment_char(model, xi))
+        pvs = pv_axis_singular(phi, poles, spec, conjugate_symmetric=complex(z).imag == 0.0)
+        return [(pv.value / (2j * math.pi), pv.abs_err / (2 * math.pi)) for pv in pvs]
+
+    for z, poles in ((0.5, (0.65, 0j)), (0.6 + 0.2j, (1.0 + 0.3j, 0j)),
+                     (0.3, (-0.4 - 2.0j,)), (0.7 - 0.1j, (0j,)), (0.5, (-1.0 - 0.3j,))):
+        walkfluct.fluct._step_table.cache_clear()
+        cold = walkfluct.fluct._descent_exponent(wf, z, 0.0, poles, spec)
+        warm = walkfluct.fluct._descent_exponent(wf, z, 0.0, poles, spec)
+        assert cold == warm == direct(z, poles), (z, poles)
+
+
+def test_step_table_cache_is_bounded(models):
+    # maxsize + 1 models evict the oldest model's table and keep the newest
+    table = walkfluct.fluct._step_table
+    counted = [_counting(models["product_mm1"]) for _ in range(table.cache_info().maxsize + 1)]
+    for wf, points in counted:
+        table(wf.model, 0.0, 8.0, 8)
+        points[0] = 0
+    (newest, new_points), (oldest, old_points) = counted[-1], counted[0]
+    table(newest.model, 0.0, 8.0, 8)
+    table(oldest.model, 0.0, 8.0, 8)
+    assert new_points[0] == 0 and old_points[0] == 8 * 8
 
 
 @pytest.mark.parametrize("name", ["product_mm1", "threshold_exp", "markov_2state",
