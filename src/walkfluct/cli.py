@@ -10,7 +10,9 @@ Commands
 
 Exit codes: 0 success, 1 domain/validation/parse error, 2 numerical
 non-convergence or IO failure.  Identical (config, seed) gives byte-identical
-CSV.  WALKFLUCT_THREADS caps the grid-sweep thread pool.
+CSV, whatever the number of threads.  WALKFLUCT_THREADS caps every thread
+pool, the grid sweep's and the Monte Carlo blocks'; by default each pool is
+as wide as the CPUs this process may use.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .model import (
     build_threshold_model,
 )
 from .oracle import (
-    AtomicMeasure2D, BVFunctionSpec, _series_terms, default_cap,
+    AtomicMeasure2D, BVFunctionSpec, _series_terms, _threads, default_cap,
     estimate_functional, max_n_estimate, spitzer_series, verify_hewitt_discrete,
 )
 from .roots import find_kernel_roots
@@ -164,15 +166,8 @@ def _parse_clist(raw: str | None, fallback) -> tuple[complex, ...]:
         raise DomainError(f"cannot parse grid list '{raw}': {err}") from err
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("WALKFLUCT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _sweep(points, worker):
-    workers = min(_threads(), max(1, len(points)))
+    workers = _threads(len(points))
     if workers == 1:
         return [worker(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:

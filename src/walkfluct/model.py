@@ -376,7 +376,10 @@ class IncrementModel:
 
     lst is vectorized over broadcastable complex arrays; sampler(rng, size)
     returns a pair of nonnegative float arrays, or is None for transform-only
-    kernels.  b_abscissa/a_abscissa bound the analytic continuation of the
+    kernels.  A sampler draws only from the rng it is given: the oracles may
+    call it from several threads at once, one Philox stream per block, and
+    their results are reproducible only if it keeps no other state.
+    b_abscissa/a_abscissa bound the analytic continuation of the
     marginal formulas below Re s = 0 (0.0 means no continuation is claimed).
     lst is the transform of a real pair, so h(conj s1, conj s2) =
     conj h(s1, s2); the contour engine relies on this to evaluate real-

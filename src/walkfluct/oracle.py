@@ -3,8 +3,12 @@
 Three simulation oracles (first-descent functional, truncated series over
 step counts, running-maximum at a fixed horizon) plus a direct numerical
 check of the inversion identity on finite atomic measures.  Simulation uses
-counter-based Philox streams, one per block, so results are bit-reproducible
-from (seed, paths, cap) and safe to parallelize.
+counter-based Philox streams, one per block of paths, and the blocks run on
+a small thread pool (see _threads).  Block sizes are fixed: 2^15 paths for
+the first-descent estimator, and min(2^15, 2^19 // n) paths of n steps for
+the series and max-n estimators.  Each block is reduced to its sums before
+it returns, and the sums are added in block order, so results are bit-
+reproducible from (seed, paths, cap or n) whatever the number of threads.
 
 Walks that touch 0 exactly are scored with weight 1/2: the transform
 identities carry the symmetric indicator (1{S <= 0} + 1{S < 0})/2, and the
@@ -14,8 +18,9 @@ path keeps its remaining half-weight until a strict descent.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from collections.abc import Iterable, Iterator
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 15
+_BLOCK_PAIRS = 1 << 19  # increment pairs per block of n-step paths
 _TWO_PI_I = 2j * math.pi
 _TRUNC_TOL = 1e-6  # z-truncation bias of default_cap and tail of _series_terms
 
@@ -152,6 +158,46 @@ def _mc_moments(total: complex, total_sq: float, n: int) -> tuple[complex, float
     return mean, math.sqrt(var / n)
 
 
+def _sums(vals: np.ndarray) -> tuple[complex, float]:
+    return complex(vals.sum()), float(np.sum(np.abs(vals) ** 2))
+
+
+def _threads(tasks: int) -> int:
+    """Pool width for tasks independent jobs: WALKFLUCT_THREADS, else the usable CPUs."""
+    try:
+        cap = int(os.environ["WALKFLUCT_THREADS"])
+    except (KeyError, ValueError):
+        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    return max(1, min(cap, tasks))
+
+
+def _blocks(paths: int, chunk: int, block) -> list:
+    """[block(k, m) for each block k of m <= chunk paths], in block order.
+
+    Several blocks run on a thread pool; one runs inline.  Any exception,
+    a worker's or an interrupt of the caller's, cancels the blocks not yet
+    started and waits for the running ones before it propagates, so no
+    worker outlives the call.
+    """
+    sizes = [min(chunk, paths - done) for done in range(0, paths, chunk)]
+    workers = _threads(len(sizes))
+    if workers == 1:
+        return [block(k, m) for k, m in enumerate(sizes)]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(block, k, m) for k, m in enumerate(sizes)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
+
+
+def _block_moments(parts: list, n: int) -> tuple[complex, float]:
+    """Mean and standard error of n per-path values from per-block sums."""
+    return _mc_moments(sum((p[0] for p in parts), 0j), sum(p[1] for p in parts), n)
+
+
 def estimate_functional(model: IncrementModel, z: complex, s1: complex,
                         s2: complex, paths: int, cap: int,
                         seed: int) -> MCEstimate:
@@ -168,13 +214,9 @@ def estimate_functional(model: IncrementModel, z: complex, s1: complex,
         raise ValueError("need paths >= 1 and cap >= 1")
     if z == 0:
         return MCEstimate(0j, 0.0, paths, cap, 0.0)
-    total, total_sq = 0j, 0.0
-    unfinished = 0
-    done = 0
-    block = 0
-    while done < paths:
-        m = min(_BLOCK, paths - done)
-        rng = _stream(seed, block)
+
+    def block(k, m):
+        rng = _stream(seed, k)
         vals = np.zeros(m, dtype=complex)
         weight = np.ones(m)
         S = np.zeros(m)
@@ -199,13 +241,11 @@ def estimate_functional(model: IncrementModel, z: complex, s1: complex,
             alive = alive[~neg]
             if alive.size == 0:
                 break
-        unfinished += alive.size
-        total += complex(vals.sum())
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += m
-        block += 1
-    mean, std_err = _mc_moments(total, total_sq, paths)
-    bias = (unfinished / paths) * abs(z) ** cap
+        return (*_sums(vals), alive.size)
+
+    parts = _blocks(paths, _BLOCK, block)
+    mean, std_err = _block_moments(parts, paths)
+    bias = (sum(part[2] for part in parts) / paths) * abs(z) ** cap
     if bias > std_err > 0:
         warnings.warn("truncation bias bound exceeds the statistical error; "
                       "increase cap", UserWarning, stacklevel=2)
@@ -226,29 +266,18 @@ def _series_terms(z: complex) -> int:
     return n_max
 
 
-def _path_blocks(model: IncrementModel, n: int, paths: int,
-                 seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield prefix sums (B, S), each of shape (m, n), over blocks of m paths.
+def _walk_blocks(model: IncrementModel, n: int, paths: int, seed: int, score) -> list:
+    """_blocks over paths of n steps, each block reduced by score(b, S).
 
-    B is the running b-total and S = cumsum(b - a) the walk; block k draws
-    its m*n pairs from Philox stream k.
+    Block k draws its m*n pairs from Philox stream k; b holds the b draws
+    and S = cumsum(b - a) the walk, both of shape (m, n).
     """
-    chunk = max(1, min(_BLOCK, 4_000_000 // n))
-    for block, done in enumerate(range(0, paths, chunk)):
-        m = min(chunk, paths - done)
-        b, a = _draw(model, _stream(seed, block), m * n)
+    def block(k, m):
+        b, a = _draw(model, _stream(seed, k), m * n)
         b = np.asarray(b).reshape(m, n)
-        S = np.cumsum(b - np.asarray(a).reshape(m, n), axis=1)
-        yield np.cumsum(b, axis=1), S
+        return score(b, np.cumsum(b - np.asarray(a).reshape(m, n), axis=1))
 
-
-def _block_moments(blocks: Iterable[np.ndarray], n: int) -> tuple[complex, float]:
-    """Mean and standard error of n per-path values arriving in blocks."""
-    total, total_sq = 0j, 0.0
-    for vals in blocks:
-        total += complex(vals.sum())
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-    return _mc_moments(total, total_sq, n)
+    return _blocks(paths, max(1, min(_BLOCK, _BLOCK_PAIRS // n)), block)
 
 
 def spitzer_series(model: IncrementModel, z: complex, s1: complex, s2: complex,
@@ -271,12 +300,14 @@ def spitzer_series(model: IncrementModel, z: complex, s1: complex, s2: complex,
     ns = np.arange(1, n_max + 1)
     coef = z ** ns / ns
 
-    def scores():
-        for B, S in _path_blocks(model, n_max, paths_per_n, seed):
-            w = (S < 0.0) + 0.5 * (S == 0.0)
-            yield (w * np.exp(-s1 * B - s2 * S)) @ coef
+    def score(b, S):
+        # the prefix sums B = cumsum(b) only where s1 reads them
+        w = (S < 0.0) + 0.5 * (S == 0.0)
+        e = -s1 * np.cumsum(b, axis=1) - s2 * S if s1 else -s2 * S
+        return _sums((w * np.exp(e)) @ coef)
 
-    acc, noise = _block_moments(scores(), paths_per_n) if n_max else (0j, 0.0)
+    acc, noise = _block_moments(_walk_blocks(model, n_max, paths_per_n, seed, score),
+                                paths_per_n) if n_max else (0j, 0.0)
     damp = abs(np.exp(-acc))
     return TransformValue(1.0 - np.exp(-acc),
                           damp * (noise + _series_tail(abs(z), n_max)), "series")
@@ -292,10 +323,9 @@ def max_n_estimate(model: IncrementModel, n: int, s: complex, paths: int,
         raise ValueError("need n >= 0 and paths >= 1")
     if n == 0 or s == 0:
         return MCEstimate(1.0 + 0j, 0.0, paths, n, 0.0)
-    mean, std_err = _block_moments(
-        (np.exp(-s * np.maximum(np.max(S, axis=1), 0.0))
-         for _, S in _path_blocks(model, n, paths, seed)),
-        paths)
+    mean, std_err = _block_moments(_walk_blocks(
+        model, n, paths, seed,
+        lambda _, S: _sums(np.exp(-s * np.maximum(np.max(S, axis=1), 0.0)))), paths)
     return MCEstimate(mean, std_err, paths, n, 0.0)
 
 

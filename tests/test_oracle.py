@@ -5,19 +5,22 @@ check here is a fixed-seed estimate compared at 4 standard errors.
 """
 
 import math
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from walkfluct.contour import ContourSpec
-from walkfluct.errors import DomainError, UnsupportedModel
+from walkfluct.errors import DomainError, EvalError, UnsupportedModel
 from walkfluct.fluct import (
     busy_period_rational,
     busy_period_transform,
     idle_period_transform,
     max_transform_rational,
 )
-from walkfluct.model import IncrementModel
+from walkfluct.model import IncrementModel, builtin_models
 from walkfluct.oracle import (
     AtomicMeasure2D,
     BVFunctionSpec,
@@ -191,6 +194,89 @@ def test_max_n_estimate_guards(mm1):
         max_n_estimate(mm1.model, -1, 1.0, paths=10, seed=0)
     with pytest.raises(ValueError):
         max_n_estimate(mm1.model, 5, 1.0, paths=0, seed=0)
+
+
+# ------------------------------------------------------------- block pool
+
+
+def _three_estimates(model):
+    # 100,000 paths are 4 first-descent blocks of 2^15; 30,000 paths of 40
+    # steps are 3 series blocks of 2^19 // 40; 6,000 paths of 200 steps are 3
+    # max-n blocks of 2^19 // 200
+    ef = estimate_functional(model, 0.6 + 0.2j, 0.5, -0.3, paths=100_000, cap=40, seed=5)
+    ss = spitzer_series(model, 0.6 + 0.2j, 0.0, -0.5 + 0.2j, n_max=40,
+                        paths_per_n=30_000, seed=6)
+    mx = max_n_estimate(model, 200, 0.8, paths=6_000, seed=7)
+    return [(e.mean, e.std_err, e.truncation_bias_bound) for e in (ef, mx)] + [
+        (ss.value, ss.abs_err)]
+
+
+@pytest.mark.parametrize("label", ["product_mm1", "threshold_exp", "markov_2state"])
+def test_pool_width_does_not_change_estimates(monkeypatch, models, label):
+    monkeypatch.setenv("WALKFLUCT_THREADS", "1")
+    serial = _three_estimates(models[label])
+    monkeypatch.setenv("WALKFLUCT_THREADS", "4")
+    assert _three_estimates(models[label]) == serial
+
+
+def _slow_exponential_model(calls, delay, fail_at=None):
+    """M/M/1 increments drawn after a sleep; the fail_at-th call raises."""
+    lock = threading.Lock()
+    raised = []
+
+    def sampler(rng, size):
+        with lock:
+            calls.append(size)
+            count = len(calls)
+        if count == fail_at:
+            raised.append(EvalError(f"sampler failed on call {count}"))
+            raise raised[-1]
+        time.sleep(delay)
+        return rng.exponential(0.5, size), rng.exponential(1.0, size)
+
+    mm1 = builtin_models()["product_mm1"]
+    return IncrementModel(lst=mm1.lst, sampler=sampler, mean_b=0.5, mean_a=1.0), raised
+
+
+def test_worker_error_reaches_caller_and_stops_the_blocks(monkeypatch):
+    monkeypatch.setenv("WALKFLUCT_THREADS", "4")
+    calls, k = [], 5
+    model, raised = _slow_exponential_model(calls, 0.01, fail_at=k)
+    before = threading.active_count()
+    # 40 blocks of 2^19 // 1000 paths
+    with pytest.raises(EvalError) as err:
+        max_n_estimate(model, 1000, 1.0, paths=40 * 524, seed=1)
+    assert err.value is raised[0]
+    assert len(calls) <= k + 4
+    assert threading.active_count() == before
+
+
+class _Alarm(BaseException):
+    pass
+
+
+def test_interrupt_ends_the_call_within_one_block(monkeypatch):
+    monkeypatch.setenv("WALKFLUCT_THREADS", "4")
+    calls = []
+    model, _ = _slow_exponential_model(calls, 0.1)
+    before = threading.active_count()
+
+    def alarm(signum, frame):
+        raise _Alarm()
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        # 64 blocks of 0.1 s on 4 threads take 1.6 s uninterrupted
+        with pytest.raises(_Alarm):
+            max_n_estimate(model, 1000, 1.0, paths=64 * 524, seed=1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) < 64
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------------ atomic identity
