@@ -22,7 +22,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -44,7 +43,7 @@ from .model import (
     build_threshold_model,
 )
 from .oracle import (
-    AtomicMeasure2D, BVFunctionSpec, _series_terms, _threads, default_cap,
+    AtomicMeasure2D, BVFunctionSpec, _map, _series_terms, default_cap,
     estimate_functional, max_n_estimate, spitzer_series, verify_hewitt_discrete,
 )
 from .roots import find_kernel_roots
@@ -166,14 +165,6 @@ def _parse_clist(raw: str | None, fallback) -> tuple[complex, ...]:
         raise DomainError(f"cannot parse grid list '{raw}': {err}") from err
 
 
-def _sweep(points, worker):
-    workers = _threads(len(points))
-    if workers == 1:
-        return [worker(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, points))
-
-
 def _spec_from(args) -> ContourSpec:
     return ContourSpec(T=args.T, nodes=args.nodes, tol=args.tol)
 
@@ -244,7 +235,7 @@ def _cmd_eval(args) -> int:
         return [z.real, z.imag, complex(s).real, complex(s).imag,
                 tv.value.real, tv.value.imag, tv.abs_err, tv.method]
 
-    emit_csv(_EVAL_HEADER, _sweep(points, worker), args.out)
+    emit_csv(_EVAL_HEADER, _map(worker, points), args.out)
     return 0
 
 
@@ -326,7 +317,7 @@ def _cmd_compare(args) -> int:
                 mc.mean.real, mc.mean.imag, mc.std_err, rel,
                 eng_ok and mc_ok]
 
-    rows = _sweep(points, worker)
+    rows = _map(worker, points)
     emit_csv(_COMPARE_HEADER, rows, args.out)
     if all(row[-1] for row in rows):
         return 0

@@ -4,7 +4,7 @@ Three simulation oracles (first-descent functional, truncated series over
 step counts, running-maximum at a fixed horizon) plus a direct numerical
 check of the inversion identity on finite atomic measures.  Simulation uses
 counter-based Philox streams, one per block of paths, and the blocks run on
-a small thread pool (see _threads).  Block sizes are fixed: 2^15 paths for
+a small thread pool (see _map and _threads).  Block sizes are fixed: 2^15 paths for
 the first-descent estimator, and min(2^15, 2^19 // n) paths of n steps for
 the series and max-n estimators.  Each block is reduced to its sums before
 it returns, and the sums are added in block order, so results are bit-
@@ -172,25 +172,31 @@ def _threads(tasks: int) -> int:
     return max(1, min(cap, tasks))
 
 
-def _blocks(paths: int, chunk: int, block) -> list:
-    """[block(k, m) for each block k of m <= chunk paths], in block order.
+def _map(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), on a thread pool when there are several tasks.
 
-    Several blocks run on a thread pool; one runs inline.  Any exception,
-    a worker's or an interrupt of the caller's, cancels the blocks not yet
-    started and waits for the running ones before it propagates, so no
-    worker outlives the call.
+    Results come back in task order.  Any exception, a task's or an
+    interrupt of the caller's, cancels the tasks not yet started and waits
+    for the running ones before it propagates, so no worker outlives the
+    call.
     """
-    sizes = [min(chunk, paths - done) for done in range(0, paths, chunk)]
-    workers = _threads(len(sizes))
+    args = list(zip(*iterables))
+    workers = _threads(len(args))
     if workers == 1:
-        return [block(k, m) for k, m in enumerate(sizes)]
+        return [fn(*a) for a in args]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [pool.submit(block, k, m) for k, m in enumerate(sizes)]
+        futures = [pool.submit(fn, *a) for a in args]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
     return [f.result() for f in futures]
+
+
+def _blocks(paths: int, chunk: int, block) -> list:
+    """[block(k, m) for each block k of m <= chunk paths], in block order."""
+    sizes = [min(chunk, paths - done) for done in range(0, paths, chunk)]
+    return _map(block, range(len(sizes)), sizes)
 
 
 def _block_moments(parts: list, n: int) -> tuple[complex, float]:
