@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 domain/validation/parse error, 2 numerical
 non-convergence or IO failure.  Identical (config, seed) gives byte-identical
 CSV, whatever the number of threads.  WALKFLUCT_THREADS caps every thread
 pool, the grid sweep's and the Monte Carlo blocks'; by default each pool is
-as wide as the CPUs this process may use.
+as wide as the CPUs this process may use.  Pools do not nest: a grid point's
+Monte Carlo blocks run on its sweep worker.
 """
 
 from __future__ import annotations

@@ -266,7 +266,7 @@ class Uniform(DistributionSpec):
 def _poly_pow(p: np.ndarray, k: int) -> np.ndarray:
     out = np.array([1.0 + 0j])
     for _ in range(k):
-        out = np.polymul(out, p)
+        out = np.convolve(out, p)
     return out
 
 
@@ -275,7 +275,7 @@ def _poly_sub_s_minus_xi(p: np.ndarray, s: complex) -> np.ndarray:
     base = np.array([-1.0, s], dtype=complex)
     acc = np.array([complex(p[0])])
     for c in p[1:]:
-        acc = np.polymul(acc, base)
+        acc = np.convolve(acc, base)
         acc[-1] += c
     return acc
 
@@ -307,13 +307,13 @@ def _cleared(pgf, n_f, d_f, a_rat) -> Callable:
     m = len(N) - 1
 
     def clear_fn(z, s):
-        u = np.polymul(n_f, _poly_sub_s_minus_xi(a_num, s))
-        v = np.polymul(d_f, _poly_sub_s_minus_xi(a_den, s))
+        u = np.convolve(n_f, _poly_sub_s_minus_xi(a_num, s))
+        v = np.convolve(d_f, _poly_sub_s_minus_xi(a_den, s))
         acc = np.array([0.0 + 0j])
         for k, c in enumerate(D):
-            acc = np.polyadd(acc, c * np.polymul(_poly_pow(u, k), _poly_pow(v, m - k)))
+            acc = np.polyadd(acc, c * np.convolve(_poly_pow(u, k), _poly_pow(v, m - k)))
         for k in range(1, m + 1):
-            acc = np.polysub(acc, z * N[k] * np.polymul(_poly_pow(u, k), _poly_pow(v, m - k)))
+            acc = np.polysub(acc, z * N[k] * np.convolve(_poly_pow(u, k), _poly_pow(v, m - k)))
         return acc
     return clear_fn
 

@@ -4,9 +4,10 @@ Three simulation oracles (first-descent functional, truncated series over
 step counts, running-maximum at a fixed horizon) plus a direct numerical
 check of the inversion identity on finite atomic measures.  Simulation uses
 counter-based Philox streams, one per block of paths, and the blocks run on
-a small thread pool (see _map and _threads).  Block sizes are fixed: 2^15 paths for
-the first-descent estimator, and min(2^15, 2^19 // n) paths of n steps for
-the series and max-n estimators.  Each block is reduced to its sums before
+a small thread pool (see _map and _threads), or inline when the caller is
+itself a pool worker.  Block sizes are fixed: 2^15 paths for the
+first-descent estimator, and min(2^15, 2^19 // n) paths of n steps for the
+series and max-n estimators.  Each block is reduced to its sums before
 it returns, and the sums are added in block order, so results are bit-
 reproducible from (seed, paths, cap or n) whatever the number of threads.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -172,21 +174,30 @@ def _threads(tasks: int) -> int:
     return max(1, min(cap, tasks))
 
 
+_in_worker = threading.local()  # .active is set on the threads of a _map pool
+
+
 def _map(fn, *iterables) -> list:
     """list(map(fn, *iterables)), on a thread pool when there are several tasks.
 
     Results come back in task order.  Any exception, a task's or an
     interrupt of the caller's, cancels the tasks not yet started and waits
     for the running ones before it propagates, so no worker outlives the
-    call.
+    call.  A call from one of the pool's own workers runs inline, so pools
+    never nest: a grid point's blocks run on its sweep worker.
     """
     args = list(zip(*iterables))
-    workers = _threads(len(args))
+    workers = 1 if getattr(_in_worker, "active", False) else _threads(len(args))
     if workers == 1:
         return [fn(*a) for a in args]
+
+    def task(*a):
+        _in_worker.active = True
+        return fn(*a)
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [pool.submit(fn, *a) for a in args]
+        futures = [pool.submit(task, *a) for a in args]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)

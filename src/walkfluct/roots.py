@@ -2,22 +2,29 @@
 
 The counting contour is the segment Re xi = -eps closed by a left arc,
 traversed counterclockwise; its winding number equals the number of enclosed
-zeros.  Kernels that clear to a polynomial get first root estimates from a
-companion solve, the rest from a contour-moment locator (Delves & Lyness
-1967, Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727): count
-the N zeros inside an enclosing rectangle, integrate their power sums
-(1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on adaptive Gauss-Legendre
-panels and solve for them through Newton's identities.  Either way every
-estimate, or group of near estimates, is checked on a disc of its own, and
+zeros.  Every find first counts the N zeros in an enclosing rectangle
+[-R, -1e-6] x [-R, R], R from the Fujiwara bound, doubled until the count at
+2R agrees.  Kernels that clear to a polynomial get first root estimates
+from a companion solve, the rest from a contour-moment locator (Delves &
+Lyness 1967, Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727):
+integrate the power sums (1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on
+adaptive Gauss-Legendre panels and solve for them through Newton's
+identities.  Either way every estimate, or group of near estimates, is
+checked on a disc of its own, the discs must hold N zeros in all, and
 every disc reports the roots of its own power sums.  Those average the
 kernel's rounding noise over the disc's circle, where an iteration on F
 would stop at the first point that noise hides, and stay accurate for
 numerically coincident zeros.  Every disc keeps the gap between its moments
 and its reported roots' power sums, which bounds the error in root products
 (Kravanja, Sakurai & Van Barel 1999, BIT 39:646-682).  Location spends at
-most _LOCATE_BUDGET kernel evaluations.  The count is certified
-independently by the argument principle on the uncleared kernel and the
-roots by their residuals.
+most _LOCATE_BUDGET kernel evaluations, the rectangle count included.
+
+So two counts certify a find.  The rectangle count is the locator's own:
+the roots are settled against it.  The independent one is a single
+count_left_zeros on the half-disc about the located roots, sized from them
+and counted afresh; it must agree.  The roots are also checked by their
+residuals.  verify_rouche adds a full count on top, at three doubling radii
+and offset at most 0.05 from the axis.
 """
 
 from __future__ import annotations
@@ -45,7 +52,14 @@ _AXIS_TOL = 1e-9   # roots closer to the axis than this count as on-axis
 
 @dataclass(frozen=True)
 class RootReport:
-    """Certified left-half-plane roots of one shifted kernel, each in one of discs."""
+    """Certified left-half-plane roots of one shifted kernel, each in one of discs.
+
+    count_argument_principle is the independent half-disc count:
+    count_left_zeros on {Re xi < -contour_offset_eps, |xi| < contour_radius},
+    with the radius 2(1 + max|r|) and the offset half the smallest |Re r|.
+    It equals the locator's enclosing rectangle count, which the roots were
+    settled against.
+    """
 
     roots: tuple
     residuals: tuple
@@ -429,76 +443,74 @@ def _settle(F, roots: list[complex], count: int) -> tuple[list, tuple]:
     return out, tuple(settled)
 
 
-def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex,
-                      s: complex, scale: float) -> tuple[np.ndarray, int]:
-    """First estimates of the N left zeros: count them inside an enclosing
-    rectangle, then solve for them from their power sums, first on the
-    rectangle and then on a box three times their spread."""
+def _enclosing_count(F, kernel: RationalKernel, z: complex, s: complex) -> tuple[int, float]:
+    """Zeros N in the rectangle [-R, -1e-6] x [-R, R], with R from the Fujiwara
+    bound and doubled until the count at 2R agrees."""
     R = max(_coeff_bound(kernel, z, s), 1.0)
     for _ in range(6):
         inner = _rect_winding(F, -R, -1e-6, -R, R)
         outer = _rect_winding(F, -2 * R, -1e-6, -2 * R, 2 * R)
         if inner == outer:
-            break
+            return inner, R
         R *= 2.0
-    else:
-        raise CountMismatch("enclosing rectangle count failed to stabilize")
-    F.count = inner
-    if inner == 0:
-        return np.array([]), 0
+    raise CountMismatch("enclosing rectangle count failed to stabilize")
+
+
+def _moment_estimates(F: _Budget, count: int, R: float, scale: float) -> np.ndarray:
+    """First estimates of the count left zeros in [-R, -1e-6] x [-R, R], from
+    their power sums, first on that rectangle and then on a box three times
+    their spread."""
+    if count == 0:
+        return np.array([])
     noise = 1e-15 * scale  # rounding in F at the kernel's scale
-    approx = _box_roots(F, -R, -1e-6, -R, R, inner, noise)
+    approx = _box_roots(F, -R, -1e-6, -R, R, count, noise)
     w = max(np.ptp(approx.real), np.ptp(approx.imag), 0.25 * (1.0 + np.abs(approx).max()))
     try:
         approx = _box_roots(F, approx.real.min() - w, min(approx.real.max() + w, -1e-6),
-                            approx.imag.min() - w, approx.imag.max() + w, inner, noise)
+                            approx.imag.min() - w, approx.imag.max() + w, count, noise)
     except (CountMismatch, ZeroOnContour):
         pass  # a zero lies outside the smaller box: keep the first estimates
-    return approx, inner
+    return approx
 
 
 def _locate(F, kernel: RationalKernel, z: complex, s: complex,
             scale: float) -> tuple[list[complex], tuple]:
-    """Left zeros of F and their discs, all on one budget.  A kernel that
-    clears to a polynomial takes its first estimates, and their count, from a
-    companion solve; the rest from the contour-moment locator."""
+    """Left zeros of F and their discs, all on one budget.  The enclosing
+    rectangle certifies their number; a kernel that clears to a polynomial
+    takes its first estimates from a companion solve, the rest from the
+    contour-moment locator, and every estimate is settled against that
+    number."""
     F = _Budget(F)
+    F.count, R = _enclosing_count(F, kernel, z, s)
     if kernel.clear_fn is None:
-        approx, count = _moment_estimates(F, kernel, z, s, scale)
+        approx = _moment_estimates(F, F.count, R, scale)
     else:
-        approx, count = np.roots(_trim_poly(kernel.clear_fn(z, s))), None
-    approx = [complex(r) for r in approx if r.real < -_AXIS_TOL]
-    return _settle(F, approx, len(approx) if count is None else count)
+        approx = np.roots(_trim_poly(kernel.clear_fn(z, s)))
+    return _settle(F, [complex(r) for r in approx if r.real < -_AXIS_TOL], F.count)
 
 
 def _contour_params(roots) -> tuple[float, float]:
     if roots:
-        eps = min(min(-r.real for r in roots) / 2.0, 0.05)
+        eps = min(-r.real for r in roots) / 2.0
         radius = 2.0 * (1.0 + max(abs(r) for r in roots))
     else:
         eps, radius = 0.01, 4.0
     return max(eps, 1e-9), radius
 
 
-def _stable_count(F, radius: float, eps: float) -> tuple[int, float]:
-    """Count at growing radii until two consecutive doublings agree."""
-    counts: list[int] = []
-    for _ in range(10):
-        counts.append(count_left_zeros(F, radius, eps))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            return counts[-1], radius
-        radius *= 2.0
-    raise CountMismatch("zero count failed to stabilize under radius doubling")
-
-
 def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
                       stable_drift: bool | None = None) -> RootReport:
     """All open-left-half-plane roots of h2(xi, s-xi) - z*h1(xi, s-xi).
 
-    The count is certified against the argument principle and every root
-    against its kernel residual.  Outside the regimes where the root count is
-    guaranteed, raises PreconditionViolated; z = 1 with Re s = 0 additionally
-    needs the caller to assert negative drift via stable_drift=True.
+    Two counts certify them.  The locator's enclosing rectangle count, stable
+    under doubling, is the number every root estimate is settled against.
+    The independent one, RootReport.count_argument_principle, is one
+    count_left_zeros on the half-disc of radius 2(1 + max|r|), offset half
+    the smallest |Re r| from the axis; it must agree.  Every root is also
+    checked against its kernel residual.  Outside the regimes where the root
+    count is guaranteed, raises PreconditionViolated; z = 1 with Re s = 0
+    additionally needs the caller to assert negative drift via
+    stable_drift=True.
     """
     z, s = complex(z), complex(s)
     _check_count_domain(z, s, stable_drift)
@@ -508,7 +520,7 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     refined, discs = _locate(F, kernel, z, s, scale)
     refined.sort(key=lambda r: (r.real, r.imag))
     eps, radius = _contour_params(refined)
-    n_ap, radius = _stable_count(F, radius, eps)
+    n_ap = count_left_zeros(F, radius, eps)
     if n_ap != len(refined):
         raise CountMismatch(
             f"located {len(refined)} roots but the argument principle counts {n_ap}")
@@ -522,11 +534,32 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
                       discs=discs)
 
 
+def _stable_count(F, radius: float, eps: float) -> int:
+    """Count at growing radii until two consecutive doublings agree."""
+    counts: list[int] = []
+    for _ in range(10):
+        counts.append(count_left_zeros(F, radius, eps))
+        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
+            return counts[-1]
+        radius *= 2.0
+    raise CountMismatch("zero count failed to stabilize under radius doubling")
+
+
 def verify_rouche(kernel: RationalKernel, z: complex, s: complex) -> tuple[int, int, bool]:
     """Certified left-zero counts of h2(xi, s-xi) and of the z-shifted kernel.
 
-    Each count comes from find_kernel_roots, so the located roots and their
-    residuals are checked against it as well."""
-    n_z, n_h2 = (find_kernel_roots(kernel, zz, s).count_argument_principle
-                 for zz in (z, 0.0))
+    Each count comes from find_kernel_roots and is then checked by an
+    independent full count: count_left_zeros at three doubling radii from the
+    find's contour, offset at most 0.05 from the axis, must agree with it, or
+    CountMismatch is raised."""
+    counts = []
+    for zz in (z, 0.0):
+        rep = find_kernel_roots(kernel, zz, s)
+        full = _stable_count(_shifted(kernel, complex(zz), complex(s)),
+                             rep.contour_radius, min(rep.contour_offset_eps, 0.05))
+        if full != rep.count_argument_principle:
+            raise CountMismatch(f"the full count {full} disagrees with the find's "
+                                f"{rep.count_argument_principle} at z = {zz:.6g}")
+        counts.append(full)
+    n_z, n_h2 = counts
     return n_h2, n_z, n_h2 == n_z

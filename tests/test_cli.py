@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 try:
@@ -255,6 +257,13 @@ def test_roots_command(mm1_file, tmp_path, mm1_refs):
     root = complex(float(rows[0]["root_re"]), float(rows[0]["root_im"]))
     assert abs(root - mm1_refs.xi1(0.5, 0.5)) < 1e-9
     assert float(rows[0]["residual"]) < 1e-8
+    # the contour columns describe the one half-disc cross-check: it holds
+    # every reported root, offset half the smallest |Re r| from the axis
+    for row in rows:
+        r = complex(float(row["root_re"]), float(row["root_im"]))
+        assert abs(r) < float(row["contour_radius"])
+        assert r.real < -float(row["contour_offset_eps"])
+    assert float(rows[0]["contour_offset_eps"]) == pytest.approx(-root.real / 2)
 
 
 def test_roots_unstable_unit_corner_is_stability_error(tmp_path, capsys):
@@ -466,6 +475,36 @@ def test_thread_pool_fills_step_tables_alike(mm1_file, tmp_path, monkeypatch, fu
         monkeypatch.setenv("WALKFLUCT_THREADS", threads)
         outputs.append(tmp_path / f"{threads}.csv")
         assert run(args + ["--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_grid_pool_does_not_nest_block_pools(mm1_file, tmp_path, monkeypatch):
+    # each series point has several path blocks; run from a sweep worker they
+    # must not open a pool of their own, so at width 2 at most 2 threads join
+    # the caller, and the CSV is the same at width 1
+    args = ["eval", "busy", "--model", mm1_file, "--engine", "series",
+            "--z", "0.3,0.5,0.7", "--s", "0.5,1.0", "--paths", "40000", "--seed", "3"]
+    outputs, peak = [], 0
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WALKFLUCT_THREADS", threads)
+        done = threading.Event()
+
+        def watch():
+            nonlocal peak
+            while not done.is_set():
+                peak = max(peak, threading.active_count() - base)
+                time.sleep(0.0005)
+
+        base = threading.active_count() + 1  # the caller's threads and the watcher
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            outputs.append(tmp_path / f"{threads}.csv")
+            assert run(args + ["--out", str(outputs[-1])]) == 0
+        finally:
+            done.set()
+            watcher.join()
+    assert peak <= 2
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 

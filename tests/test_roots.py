@@ -1,5 +1,6 @@
 """Left-half-plane zero counting and kernel root certification."""
 
+import dataclasses
 import math
 import time
 
@@ -21,6 +22,7 @@ from walkfluct.model import (
     Erlang,
     Exponential,
     Hyperexponential,
+    RationalKernel,
     Uniform,
     build_markov_modulated,
     build_product_model,
@@ -30,6 +32,7 @@ from walkfluct.roots import (
     _ORDER,
     RootReport,
     _disc_moments,
+    _stable_count,
     count_left_zeros,
     find_kernel_roots,
     verify_rouche,
@@ -266,3 +269,50 @@ def test_disc_moments_match_the_power_matrix_sum():
         g = np.fft.ifft(1j * freq * np.fft.fft(vals)) / vals
         want = (g @ v[:, None] ** np.arange(_ORDER + 1)) / (1j * n)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_companion_route_missing_root_fails_the_enclosing_count(models):
+    # the companion solve loses the root at -3.16; the rectangle still counts
+    # two zeros, so the discs settled against it come up one short
+    ker = models["markov_2state"].rational
+
+    def drop_one(z, s):
+        p = ker.clear_fn(z, s)
+        r = np.roots(p)
+        lost = np.argmax(np.where(r.real < 0, r.real, -np.inf))  # the rightmost left root
+        return p[0] * np.poly(np.delete(r, lost))
+
+    with pytest.raises(CountMismatch, match="root discs hold 1 zeros, the locator 2"):
+        find_kernel_roots(dataclasses.replace(ker, clear_fn=drop_one), 0.9, 0.0)
+
+
+def test_certificate_agrees_with_the_full_count():
+    # the one half-disc count against three agreeing counts under radius
+    # doubling, offset at most 0.05 from the axis
+    rng = np.random.default_rng(2026)
+    for trial in range(10):
+        mdl = random_rational_model(rng)
+        for j in range(3):
+            z, s = regime_point(rng, j % 2)
+            rep = find_kernel_roots(mdl.rational, z, s)
+            F = lambda xi: mdl.rational.eval_shifted(xi, z, s)
+            full = _stable_count(F, rep.contour_radius, min(rep.contour_offset_eps, 0.05))
+            assert rep.count_argument_principle == full, (
+                f"trial {trial}: {mdl.label} at z={z:.3f}, s={s:.3f}")
+
+
+def test_markov_find_spends_few_kernel_points(models, monkeypatch):
+    # certified by three doubling half-disc counts, this find took about
+    # 129,000 kernel points
+    used = []
+    plain = RationalKernel.eval_shifted
+
+    def counted(self, xi, z, s):
+        used.append(np.size(xi))
+        return plain(self, xi, z, s)
+
+    monkeypatch.setattr(RationalKernel, "eval_shifted", counted)
+    rep = find_kernel_roots(models["markov_2state"].rational,
+                            0.65 * np.exp(0.3j), 1.0 + 0.2j)
+    assert rep.count_argument_principle == 2
+    assert sum(used) <= 10_000
