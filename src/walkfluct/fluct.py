@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -245,10 +246,24 @@ def _drift_flag(wf: WalkFunctionals, z: complex, s: complex) -> bool | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _static_base(kernel: RationalKernel) -> RootReport:
-    # h2 has constant coefficients (RationalKernel.static_h2), so the z = 0
-    # kernel h2(xi, s - xi) and its roots are the same at every s
+def _base_roots(kernel: RationalKernel) -> RootReport:
+    """The left roots of the z = 0 kernel at s = 0, h2(xi, -xi), found once per kernel.
+
+    Steps and max always read them: their roots are taken at s = 0.  Busy
+    reads them only when kernel.static_h2 holds, since then h2(xi, s - xi)
+    and its roots are the same at every s.
+    """
     return find_kernel_roots(kernel, 0.0, 0.0)
+
+
+_BASE_LOCK = threading.Lock()
+
+
+def _shared_base_roots(kernel: RationalKernel) -> RootReport:
+    # lru_cache holds no lock while it computes, so grid workers that miss
+    # together would each find the same roots; here they wait for one find
+    with _BASE_LOCK:
+        return _base_roots(kernel)
 
 
 def _root_ratio(top: RootReport, bottom: RootReport, p: complex) -> tuple[complex, float]:
@@ -273,7 +288,7 @@ def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> Transfo
     z, s = complex(z), complex(s)
     kernel = _kernel_of(wf)
     drift = _drift_flag(wf, z, s)
-    base = _static_base(kernel) if kernel.static_h2 else find_kernel_roots(kernel, 0.0, s)
+    base = _shared_base_roots(kernel) if kernel.static_h2 else find_kernel_roots(kernel, 0.0, s)
     shifted = find_kernel_roots(kernel, z, s, stable_drift=drift)
     ratio, log_err = _root_ratio(base, shifted, s)
     front = 1.0 - z * complex(lst_eval(wf.model, s, 0.0))
@@ -287,7 +302,7 @@ def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> Trans
         raise DomainError("Re s must be strictly positive")
     kernel = _kernel_of(wf)
     drift = _drift_flag(wf, z, 0.0)
-    base = find_kernel_roots(kernel, 0.0, 0.0)
+    base = _shared_base_roots(kernel)
     shifted = find_kernel_roots(kernel, z, 0.0, stable_drift=drift)
     at_0, err_0 = _root_ratio(shifted, base, 0.0)
     at_s, err_s = _root_ratio(base, shifted, s)
@@ -300,7 +315,7 @@ def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
     if abs(z) >= 1.0:
         raise DomainError("|z| must be strictly below 1")
     kernel = _kernel_of(wf)
-    base = find_kernel_roots(kernel, 0.0, 0.0)
+    base = _shared_base_roots(kernel)
     shifted = find_kernel_roots(kernel, z, 0.0)
     ratio, log_err = _root_ratio(base, shifted, 0.0)
     return _rational_value(1.0 - (1.0 - z) * ratio, (1.0 - z) * ratio, log_err)

@@ -233,29 +233,41 @@ def estimate_functional(model: IncrementModel, z: complex, s1: complex,
         return MCEstimate(0j, 0.0, paths, cap, 0.0)
 
     def block(k, m):
+        # S, B and the tie weights are held for the alive paths only, in the
+        # order of alive: B only when s1 reads it, the weights only once a
+        # path ties, and the functional only where a path descends or ties
         rng = _stream(seed, k)
         vals = np.zeros(m, dtype=complex)
-        weight = np.ones(m)
-        S = np.zeros(m)
-        B = np.zeros(m)
         alive = np.arange(m)
+        S = np.zeros(m)
+        B = np.zeros(m) if s1 else None
+        weight = None
         zn = 1.0 + 0j
         for _ in range(cap):
             zn *= z
             b, a = _draw(model, rng, alive.size)
-            S[alive] += b - a
-            B[alive] += b
-            s_al = S[alive]
-            contrib = zn * np.exp(-s1 * B[alive] - s2 * s_al)
-            neg = s_al < 0.0
-            tie = s_al == 0.0
-            hit = alive[neg]
-            vals[hit] += weight[hit] * contrib[neg]
-            if tie.any():
-                tied = alive[tie]
-                vals[tied] += 0.5 * weight[tied] * contrib[tie]
-                weight[tied] *= 0.5
-            alive = alive[~neg]
+            S += b - a
+            if B is not None:
+                B += b
+            neg = S < 0.0
+            tie = S == 0.0
+            at = np.flatnonzero(neg | tie)
+            if at.size == 0:
+                continue
+            e = -s1 * B[at] - s2 * S[at] if B is not None else -s2 * S[at]
+            contrib = zn * np.exp(e)
+            if weight is None and tie.any():
+                weight = np.ones(alive.size)
+            if weight is not None:
+                weight[tie] *= 0.5  # a tie scores half its weight and keeps the other half
+                contrib *= weight[at]
+            vals[alive[at]] += contrib
+            keep = ~neg
+            alive, S = alive[keep], S[keep]
+            if B is not None:
+                B = B[keep]
+            if weight is not None:
+                weight = weight[keep]
             if alive.size == 0:
                 break
         return (*_sums(vals), alive.size)

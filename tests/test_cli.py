@@ -478,6 +478,36 @@ def test_thread_pool_fills_step_tables_alike(mm1_file, tmp_path, monkeypatch, fu
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
+@pytest.mark.parametrize("functional", ["steps", "max"])
+def test_rational_grid_shares_the_base_roots(tmp_path, monkeypatch, functional):
+    # steps and max read the kernel's z = 0 roots from one per-kernel cache;
+    # the grid's workers share that report, so the grid finds the base roots
+    # once, and one thread and four write the same bytes
+    path = tmp_path / "markov.yaml"
+    path.write_text(MARKOV_YAML)
+    args = ["eval", functional, "--model", str(path), "--engine", "rational",
+            "--z", "0.3,0.5+0.2j,0.8", "--s", "0.4,1.2+0.5j,2.0"]
+    real_find = walkfluct.fluct.find_kernel_roots
+    base_finds = []
+
+    def counting_find(kernel, z, s, **kw):
+        if z == 0 and s == 0:
+            base_finds.append(kernel)
+        return real_find(kernel, z, s, **kw)
+
+    monkeypatch.setattr(walkfluct.fluct, "find_kernel_roots", counting_find)
+    outputs = []
+    for threads in ("1", "4"):
+        walkfluct.fluct._base_roots.cache_clear()
+        base_finds.clear()
+        monkeypatch.setenv("WALKFLUCT_THREADS", threads)
+        outputs.append(tmp_path / f"{threads}.csv")
+        assert run(args + ["--out", str(outputs[-1])]) == 0
+        assert len(base_finds) == 1
+    assert len(_read_csv(outputs[0])) == (3 if functional == "steps" else 9)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 def test_grid_pool_does_not_nest_block_pools(mm1_file, tmp_path, monkeypatch):
     # each series point has several path blocks; run from a sweep worker they
     # must not open a pool of their own, so at width 2 at most 2 threads join

@@ -258,6 +258,39 @@ def test_static_h2_base_roots_found_once(models, name, monkeypatch):
     assert len(calls) <= len(grid) + 1
 
 
+@pytest.mark.parametrize("name", ["product_mm1", "threshold_exp", "markov_2state"])
+def test_steps_and_max_find_base_roots_once(models, name, monkeypatch):
+    # steps and max take every root at s = 0, so the z = 0 roots depend only
+    # on the kernel, static_h2 or not: three steps and three max calls find
+    # them at most once, and each value is the one fresh finds give, bit for bit
+    wf = walk_functionals(models[name])
+    base_roots = walkfluct.fluct._base_roots
+    calls = [(0.3, 0.5), (0.6 + 0.2j, 1.0 - 0.4j), (0.9, 2.5)]
+    evaluations = [lambda z, s: steps_pgf_rational(wf, z),
+                   lambda z, s: max_transform_rational(wf, z, s)]
+
+    fresh = []
+    for evaluate in evaluations:
+        for z, s in calls:
+            base_roots.cache_clear()
+            fresh.append(evaluate(z, s))
+
+    points = []
+    real_find = walkfluct.fluct.find_kernel_roots
+
+    def counting_find(kernel, z, s, **kw):
+        points.append((z, s))
+        return real_find(kernel, z, s, **kw)
+
+    base_roots.cache_clear()
+    monkeypatch.setattr(walkfluct.fluct, "find_kernel_roots", counting_find)
+    cached = [evaluate(z, s) for evaluate in evaluations for z, s in calls]
+    assert points.count((0.0, 0.0)) <= 1
+    assert len(points) <= 2 * len(calls) + 1
+    assert [(tv.value, tv.abs_err) for tv in cached] == [
+        (tv.value, tv.abs_err) for tv in fresh]
+
+
 # --- tol gates the returned transform ----------------------------------------
 
 

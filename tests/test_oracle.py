@@ -4,10 +4,13 @@ The M/M/1 closed forms from conftest give exact targets, so every Monte Carlo
 check here is a fixed-seed estimate compared at 4 standard errors.
 """
 
+import cmath
+import itertools
 import math
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +97,52 @@ def test_tie_splitting_exact_mean():
     assert abs(est.mean - expected) < 1e-13
     assert est.std_err < 1e-8  # identical paths, noise is pure rounding
     assert est.truncation_bias_bound == pytest.approx(0.5 ** cap)
+
+
+_TIE_STEPS = (0.5, 0.0, -1.0)  # b - a for b = 1 and a in (0.5, 1, 2), exact in binary
+
+
+def _enumerate_ties(z, s1, s2, cap):
+    """The half-weight functional over all 3^cap equally likely step paths.
+
+    Returns its exact mean at cap steps and the probability that a path has
+    not descended by then.
+    """
+    total, alive = 0j, 0.0
+    for steps in itertools.product(_TIE_STEPS, repeat=cap):
+        S, weight, val = 0.0, 1.0, 0j
+        for n, x in enumerate(steps, start=1):
+            S += x
+            contrib = z ** n * cmath.exp(-s1 * n - s2 * S)
+            if S < 0.0:
+                val += weight * contrib
+                break
+            if S == 0.0:
+                val += 0.5 * weight * contrib
+                weight *= 0.5
+        total += val
+        alive += S >= 0.0
+    return total / 3 ** cap, alive / 3 ** cap
+
+
+def test_tie_bookkeeping_matches_enumeration():
+    # B = 1 and A uniform on {0.5, 1, 2}: paths tie at 0, keep half their
+    # weight and descend later; at cap 6 the estimator's target is the exact
+    # sum over 3^6 paths, and its unfinished fraction that of the enumeration
+    model = IncrementModel(
+        lst=lambda s1, s2: np.exp(-s1) * (np.exp(-0.5 * s2) + np.exp(-s2)
+                                          + np.exp(-2.0 * s2)) / 3.0,
+        sampler=lambda rng, size: (np.ones(size), rng.choice([0.5, 1.0, 2.0], size)),
+        mean_b=1.0, mean_a=3.5 / 3.0)
+    z, s1, s2, cap, paths = 0.7 + 0.2j, 0.4, -0.3 + 0.2j, 6, 100_000
+    exact, alive = _enumerate_ties(z, s1, s2, cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the cap is short on purpose
+        est = estimate_functional(model, z, s1, s2, paths=paths, cap=cap, seed=9)
+    assert est.std_err > 0
+    assert abs(est.mean - exact) < 4.0 * est.std_err
+    unfinished = est.truncation_bias_bound / abs(z) ** cap
+    assert abs(unfinished - alive) < 4.0 * math.sqrt(alive * (1.0 - alive) / paths)
 
 
 def test_truncation_bias_warning(mm1):
