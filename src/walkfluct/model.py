@@ -285,12 +285,6 @@ def _pad_to(p: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([np.zeros(length - len(p), dtype=complex), p])
 
 
-def _const_coeffs(poly) -> tuple:
-    """Kernel coefficient functions of s2 that return the entries of poly."""
-    return tuple((lambda s2, c=complex(c): c * np.ones_like(np.asarray(s2, dtype=complex)))
-                 for c in poly)
-
-
 def _cleared(pgf, n_f, d_f, a_rat) -> Callable:
     """clear_fn of h = N(x)/D(x) at x = (n_f/d_f)(s1) * (a_num/a_den)(s2).
 
@@ -318,56 +312,78 @@ def _cleared(pgf, n_f, d_f, a_rat) -> Callable:
     return clear_fn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalKernel:
     """h = h1/h2 with both polynomials in s1 and coefficients functions of s2.
 
-    Coefficient sequences run by descending power of s1; h2_coeffs[0] must be
-    identically 1 and degree = deg h2 > deg h1.  clear_fn, when present, maps
+    C1 and C2 hold the coefficients of h1 and h2 as matrices over one s2
+    basis: row i is the coefficient of the i-th power of s1 from the top, and
+    the rows of C1 align to the bottom of C2's, since deg h1 < deg h2 =
+    degree = len(C2) - 1.  Column 0 is the constant term; column j >= 1
+    multiplies the j-th array basis(s2) returns, so a kernel with one column
+    has no basis.  C2[0] must be (1, 0, ..., 0).  clear_fn, when present, maps
     (z, s) to the descending coefficients in xi of a polynomial proportional
     to h2(xi, s-xi) - z*h1(xi, s-xi); the clearing factor vanishes only at
     points with Re xi > 0 whenever Re s >= 0, so it leaves left-half-plane
-    zeros intact.  static_h2 (derived) holds when each h2 coefficient takes one
-    value at s2 = 0, 1.7, 2.3 + 0.9i: h2(xi, s-xi) is then the same at every s.
+    zeros intact.  static_h2 (derived) holds when no basis column of C2 is
+    nonzero: h2(xi, s-xi) is then the same at every s.  The matrices are
+    read-only and the kernel hashes by identity.
     """
 
-    h1_coeffs: tuple
-    h2_coeffs: tuple
+    C1: np.ndarray
+    C2: np.ndarray
+    basis: Callable | None = None
     clear_fn: Callable | None = None
 
-    @property
-    def degree(self) -> int:
-        return len(self.h2_coeffs) - 1
-
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidSpec("kernel degree must be at least 1")
-        if len(self.h1_coeffs) > self.degree:
-            raise InvalidSpec("deg h1 must be strictly below deg h2")
-        probes = (0.0, 1.7, 2.3 + 0.9j)
-        values = [[complex(np.asarray(c(p)).reshape(())) for p in probes] for c in self.h2_coeffs]
-        if any(abs(lead - 1.0) > 1e-9 for lead in values[0]):
+        C1, C2 = (np.array(C, dtype=complex) for C in (self.C1, self.C2))
+        if C1.ndim != 2 or C2.ndim != 2 or len(C2) < 2:
+            raise InvalidSpec("C1 and C2 must be matrices, and the degree at least 1")
+        if len(C1) >= len(C2) or C1.shape[1] != C2.shape[1]:
+            raise InvalidSpec("deg h1 must be strictly below deg h2, over the same basis")
+        if (self.basis is None) != (C2.shape[1] == 1):
+            raise InvalidSpec("a kernel has a basis exactly when C2 has more than one column")
+        if C2[0, 0] != 1 or C2[0, 1:].any():
             raise InvalidSpec("leading h2 coefficient must be identically 1")
-        object.__setattr__(self, "static_h2", all(len(set(v)) == 1 for v in values))
+        C1.flags.writeable = C2.flags.writeable = False
+        for name, value in (("C1", C1), ("C2", C2), ("degree", len(C2) - 1),
+                            ("static_h2", not C2[:, 1:].any())):
+            object.__setattr__(self, name, value)
 
-    def _horner(self, coeffs, s1, s2):
+    def _basis(self, s2):
+        return () if self.basis is None else self.basis(s2)
+
+    def coefficients(self, s2):
+        """(h1, h2) coefficient values at a 1-D array s2, one row per power of s1."""
+        s2 = np.asarray(s2, dtype=complex)
+        B = np.array([np.ones_like(s2), *self._basis(s2)])
+        return self.C1 @ B, self.C2 @ B
+
+    def _horner(self, C, s1, s2):
+        # one basis evaluation; a zero entry is skipped, so a constant row stays
+        # finite where the basis has a pole
         s1 = np.asarray(s1, dtype=complex)
+        b = self._basis(s2)
         acc = np.zeros(np.broadcast(s1, np.asarray(s2)).shape, dtype=complex)
-        for c in coeffs:
-            acc = acc * s1 + c(s2)
+        for row in C:
+            acc = acc * s1 + row[0]
+            for c, bj in zip(row[1:], b):
+                if c:
+                    acc += c * bj
         return acc
 
     def eval_h1(self, s1, s2):
-        return self._horner(self.h1_coeffs, s1, s2)
+        return self._horner(self.C1, s1, s2)
 
     def eval_h2(self, s1, s2):
-        return self._horner(self.h2_coeffs, s1, s2)
+        return self._horner(self.C2, s1, s2)
 
     def eval_shifted(self, xi, z, s):
         """h2(xi, s - xi) - z*h1(xi, s - xi), the root-product kernel."""
         xi = np.asarray(xi, dtype=complex)
-        s2 = s - xi
-        return self.eval_h2(xi, s2) - z * self.eval_h1(xi, s2)
+        C = self.C2.copy()
+        C[len(C) - len(self.C1):] -= z * self.C1
+        return self._horner(C, xi, s - xi)
 
 
 @dataclass(frozen=True)
@@ -473,15 +489,12 @@ def build_product_model(b_law: DistributionSpec, a_law: DistributionSpec,
     b_rat = b_law.rational()
     if b_rat is not None:
         num, den = b_rat
-        h1 = tuple(
-            (lambda s2, c=complex(c): c * a_law.lst(s2))
-            for c in _pad_to(num, len(den) - 1)
-        )
         a_rat = a_law.rational()
         # one visit: the visit-count PGF is x, so (N, D) = (x, 1)
         clear_fn = None if a_rat is None else _cleared(((0.0, 1.0), (1.0,)), num, den, a_rat)
-        kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(den),
-                                clear_fn=clear_fn)
+        kernel = RationalKernel(C1=np.column_stack([np.zeros(len(num)), num]),
+                                C2=np.column_stack([den, np.zeros(len(den))]),
+                                basis=lambda s2: (a_law.lst(s2),), clear_fn=clear_fn)
     return IncrementModel(
         lst=lst, sampler=sampler,
         mean_b=b_law.mean, mean_a=a_law.mean, rational=kernel,
@@ -518,14 +531,11 @@ def build_threshold_model(f1: DistributionSpec, f2: DistributionSpec,
     n2, d2 = r2
     h2_poly = np.polymul(d1, d2)
     n = len(h2_poly) - 1
-    c1 = _pad_to(np.polymul(n1, d2), n)
-    c2 = _pad_to(np.polymul(n2, d1), n)
-    h1 = tuple(
-        (lambda s2, v=complex(v), w=complex(u - v):
-         v * a_law.lst(s2) + w * a_law.lower_lst(s2, l))
-        for u, v in zip(c1, c2)
-    )
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=_const_coeffs(h2_poly))
+    u = _pad_to(np.polymul(n1, d2), n)
+    v = _pad_to(np.polymul(n2, d1), n)
+    kernel = RationalKernel(C1=np.column_stack([np.zeros(n), v, u - v]),
+                            C2=np.column_stack([h2_poly, np.zeros((n + 1, 2))]),
+                            basis=lambda s2: (a_law.lst(s2), a_law.lower_lst(s2, l)))
     mean_b = f1.mean * p_low + f2.mean * (1.0 - p_low)
     return IncrementModel(
         lst=lst, sampler=sampler,
@@ -649,7 +659,8 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
 
     # kernel: with x = (n_f/d_f)(s1) g0(s2), clearing d_f^m turns each of N
     # and D into sum_k c[k] (n_f g0)^k d_f^(m-k); row k of W holds the s1
-    # coefficients of n_f^k d_f^(m-k), and N[0] = 0 keeps deg h1 below n
+    # coefficients of n_f^k d_f^(m-k), so column k of C1 and C2 multiplies
+    # g0(s2)^k, and N[0] = 0 keeps deg h1 below n
     n_f, d_f = f_rat
     lead = d_f[0]
     n_f = np.asarray(n_f, dtype=float) / lead
@@ -658,20 +669,11 @@ def build_markov_modulated(alpha, T, t, f1_over_f2: DistributionSpec,
     W = np.stack([_pad_to(np.polymul(_poly_pow(n_f, k), _poly_pow(d_f, m - k)), n + 1)
                   for k in range(m + 1)])
 
-    def _coeff(col, weights):
-        # sum_k weights[k] * col[k] * g0(s2)^k as a function of s2
-        c_asc = np.asarray(weights) * col
-
-        def fn(s2, c_asc=c_asc):
-            g = np.asarray(g0.lst(s2), dtype=complex)
-            return polyval(g, c_asc)
-        return fn
-
-    h2 = tuple(_coeff(W[:, i], pgf[1]) for i in range(n + 1))
-    h1 = tuple(_coeff(W[:, i], pgf[0]) for i in range(1, n + 1))
     g_rat = g0.rational()
     clear_fn = None if g_rat is None else _cleared(pgf, n_f, d_f, g_rat)
-    kernel = RationalKernel(h1_coeffs=h1, h2_coeffs=h2, clear_fn=clear_fn)
+    kernel = RationalKernel(
+        C1=W[:, 1:].T * pgf[0], C2=W.T * pgf[1], clear_fn=clear_fn,
+        basis=lambda s2: np.cumprod([np.asarray(g0.lst(s2), dtype=complex)] * m, axis=0))
     return IncrementModel(
         lst=lst, sampler=sampler,
         mean_b=visits * f1_over_f2.mean, mean_a=visits * g0.mean, rational=kernel,

@@ -244,16 +244,13 @@ def _coeff_bound(kernel: RationalKernel, z: complex, s: complex) -> float:
     """
     probes = s + np.array([0.01, 1.0, 5.0, 20.0, 100.0,
                            0.01 + 3j, 0.01 - 3j, 1.0 + 10j, 1.0 - 10j])
-
-    def peak(c) -> float:
-        return float(np.max(np.abs(np.asarray(c(probes), dtype=complex))))
-
-    lead = kernel.degree + 1 - len(kernel.h1_coeffs)  # power offset of h1
+    h1, h2 = (np.abs(c).max(axis=1) for c in kernel.coefficients(probes))
+    lead = kernel.degree + 1 - len(h1)  # power offset of h1
     radius = 0.0
     for k in range(1, kernel.degree + 1):
-        m = peak(kernel.h2_coeffs[k])
+        m = h2[k]
         if k >= lead:
-            m += abs(z) * peak(kernel.h1_coeffs[k - lead])
+            m += abs(z) * h1[k - lead]
         radius = max(radius, m ** (1.0 / k))
     return 2.0 * radius
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from walkfluct.contour import ContourSpec
+from walkfluct.errors import CountMismatch
 from walkfluct.fluct import (
     busy_period_rational,
     busy_period_transform,
@@ -56,6 +57,21 @@ def test_rational_uniform_a_law_against_tight_contour():
         gap = abs(got.value - weight * ref.value)
         assert gap <= got.abs_err + abs(weight) * ref.abs_err, (gap, got.abs_err)
         assert got.abs_err <= 5e-7, got.abs_err
+
+
+@pytest.mark.xfail(strict=True, raises=CountMismatch,
+                   reason="CHANGES.md line 'roots._settle raises CountMismatch on a "
+                          "Markov kernel whose 8 left roots crowd near Re xi = -8'")
+def test_crowded_markov_uniform_busy_settles_every_root():
+    # 4 states, degree 8; the (z, s) find raises "root discs hold 6 zeros,
+    # the locator 8"
+    rng = np.random.default_rng(105)
+    lo = rng.uniform(0.05, 0.3)
+    w = rng.uniform(0.8, 2.0)
+    mdl = seeded_markov(rng, int(rng.integers(2, 5)), Uniform(lo, lo + w))
+    assert mdl.rational.degree == 8
+    tv = busy_period_rational(walk_functionals(mdl), -0.5639 - 0.4806j, 1.0385 + 0.5652j)
+    assert math.isfinite(tv.abs_err)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

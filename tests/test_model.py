@@ -24,6 +24,7 @@ from walkfluct.model import (
     increment_char,
     lst_eval,
 )
+from test_roots import random_rational_model
 
 MODEL_NAMES = ["product_mm1", "threshold_exp", "markov_2state"]
 
@@ -341,30 +342,68 @@ def test_threshold_builder_needs_rational_b_laws():
 
 
 def test_kernel_validation():
-    one = lambda s2: 1.0
-    half = lambda s2: 0.5
-    with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(), h2_coeffs=(one,))  # degree 0
-    with pytest.raises(InvalidSpec):
-        RationalKernel(h1_coeffs=(half, half), h2_coeffs=(one, one))
-    with pytest.raises(InvalidSpec):
-        # leading h2 coefficient must be the constant 1
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(half, one))
-    assert RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one)).degree == 1
+    basis = lambda s2: (1.0 / (1.0 + s2),)
+    for C1, C2, b in (
+            ([[0.5]], [[1.0]], None),                          # degree 0
+            ([[0.5], [0.5]], [[1.0], [1.0]], None),            # deg h1 = deg h2
+            ([[0.5]], [[0.5], [1.0]], None),                   # leading h2 coefficient 0.5
+            ([[0.0, 0.5]], [[1.0, 0.1], [1.0, 0.0]], basis),   # leading h2 coefficient moves
+            ([[0.5]], [[1.0, 0.0], [1.0, 0.0]], basis),        # column counts differ
+            ([[0.0, 0.5]], [[1.0, 0.0], [1.0, 0.0]], None),    # columns without a basis
+            ([[0.5]], [[1.0], [1.0]], basis),                  # a basis without columns
+            ([0.5], [[1.0], [1.0]], None)):                    # C1 is not a matrix
+        with pytest.raises(InvalidSpec):
+            RationalKernel(C1=C1, C2=C2, basis=b)
+    ker = RationalKernel(C1=[[0.5]], C2=[[1.0], [1.0]])
+    assert ker.degree == 1
+    with pytest.raises(ValueError):
+        ker.C2[1, 0] = 2.0
+    # numpy fields are unhashable, so the kernel hashes and compares by identity
+    twin = RationalKernel(C1=[[0.5]], C2=[[1.0], [1.0]])
+    assert ker != twin and len({ker, twin}) == 2
 
 
 def test_static_h2_is_derived_from_the_coefficients(models):
-    one = lambda s2: 1.0
-    half = lambda s2: 0.5
     assert [models[n].rational.static_h2 for n in MODEL_NAMES] == [True, True, False]
-    assert RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one)).static_h2
-    moving = RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, lambda s2: 1.0 + s2))
+    assert RationalKernel(C1=[[0.5]], C2=[[1.0], [1.0]]).static_h2
+    moving = RationalKernel(C1=[[0.5, 0.0]], C2=[[1.0, 0.0], [1.0, 1.0]],
+                            basis=lambda s2: (s2,))
     assert not moving.static_h2
+    # 2 + q(s2) equals 2 at s2 = 0, 1.7 and 2.3 + 0.9i, so no rule that probes
+    # the coefficient at those three points can tell it from the constant 2
+    q = lambda s2: (s2 * (s2 - 1.7) * (s2 - 2.3 - 0.9j),)
+    assert all(abs(q(p)[0]) < 1e-12 for p in (0.0, 1.7, 2.3 + 0.9j))
+    hidden = RationalKernel(C1=[[0.5, 0.0]], C2=[[1.0, 0.0], [2.0, 1.0]], basis=q)
+    assert not hidden.static_h2
     with pytest.raises(TypeError):
-        RationalKernel(h1_coeffs=(half,), h2_coeffs=(one, one), static_h2=True)
+        RationalKernel(C1=[[0.5]], C2=[[1.0], [1.0]], static_h2=True)
     with pytest.raises(TypeError):
         IncrementModel(kind="product", lst=lambda s1, s2: 1.0, sampler=None,
                        mean_b=1.0, mean_a=2.0)
+
+
+def test_eval_shifted_is_h2_minus_z_h1(models):
+    rng = np.random.default_rng(17)
+    kernels = [models[n].rational for n in MODEL_NAMES]
+    kernels += [random_rational_model(rng).rational for _ in range(10)]
+    xi = np.array([0.0, -0.4, -3.0 + 1.0j, -0.2 - 2.5j, 1.5j, -8.0])
+    for ker in kernels:
+        for z, s in ((0.0, 0.0), (0.5, 0.7), (-0.3 + 0.6j, 1.2 - 0.4j), (1.0, 0.0)):
+            h1, h2 = ker.eval_h1(xi, s - xi), ker.eval_h2(xi, s - xi)
+            gap = np.abs(ker.eval_shifted(xi, z, s) - (h2 - z * h1))
+            assert (gap <= 1e-12 * (1 + np.abs(h2) + np.abs(z * h1))).all(), (ker, z, s)
+
+
+def test_markov_eval_shifted_reads_the_a_law_once(models, monkeypatch):
+    plain = Exponential.lst
+    calls = []
+
+    def counted(self, s):
+        calls.append(self)
+        return plain(self, s)
+    monkeypatch.setattr(Exponential, "lst", counted)
+    models["markov_2state"].rational.eval_shifted(np.array([-1.0, -0.5 + 2.0j]), 0.5, 0.7)
+    assert calls == [Exponential(2.0)]
 
 
 def test_kernel_must_restate_lst(models):
