@@ -332,9 +332,13 @@ def _cmd_compare(args) -> int:
 def _cmd_invert(args) -> int:
     wf = walk_functionals(load_model(args.model))
     z = complex(args.z)
-    ts = [float(complex(tok).real) for tok in args.t.split(",") if tok.strip()]
+    ts = _parse_clist(args.t, ())
     if not ts:
         raise DomainError("empty t grid")
+    # the Bromwich sum reads Re f(s), which is the transform only of a real density
+    if z.imag or any(t.imag for t in ts):
+        raise DomainError("invert needs real z and real t")
+    ts = [t.real for t in ts]
 
     def transform(s: complex) -> complex:
         return busy_period_rational(wf, z, s).value

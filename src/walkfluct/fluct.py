@@ -341,6 +341,9 @@ def invert_to_distribution(transform: Callable[[complex], complex],
                            t_grid: Sequence[float]) -> list[float]:
     """Invert a Laplace transform on a positive t grid.
 
+    The transform must be that of a real function, f(conj s) = conj f(s):
+    the series sums Re f(s) alone, so any other input gives a wrong value.
+
     Damped alternating series on the Bromwich line with Euler (binomial)
     acceleration; _DECAY bounds the aliasing error by roughly e^{-_DECAY}.
     The error heuristic is the gap between the last two acceleration depths;

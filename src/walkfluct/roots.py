@@ -25,6 +25,10 @@ count_left_zeros on the half-disc about the located roots, sized from them
 and counted afresh; it must agree.  The roots are also checked by their
 residuals.  verify_rouche adds a full count on top, at three doubling radii
 and offset at most 0.05 from the axis.
+
+Every count is certified by two sampling densities that agree, and one
+dense grid serves both: the coarse pass reads every 4th dense sample.  The
+R and 2R rectangles share one evaluation of their dense grids.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .model import RationalKernel
 __all__ = ["RootReport", "count_left_zeros", "find_kernel_roots", "verify_rouche"]
 
 _AXIS_TOL = 1e-9   # roots closer to the axis than this count as on-axis
+_RECT_SEEDS = 128  # coarse seed count of an enclosing rectangle's winding
 
 
 @dataclass(frozen=True)
@@ -88,15 +93,16 @@ class _BudgetExceeded(NonIntegerWinding):
     """Refinement wants more samples than the seed density justifies."""
 
 
-def _cycle_winding(F, to_point, n0: int) -> int:
+def _cycle_winding(F, to_point, ts: np.ndarray, vals: np.ndarray) -> int:
     """Winding number of F along a closed curve, by adaptive phase tracking.
 
-    to_point maps parameters in [0, 1) onto the curve; intervals whose
-    complex-log step (phase and magnitude ratio jointly) exceeds 0.8 are
-    bisected until every step is resolved.  Watching the magnitude as well as
-    the phase matters: a zero just off the curve concentrates a near-pi swing
-    in a window far narrower than any fixed sampling, where the wrapped phase
-    step alone can alias to something small, but the |F| dip cannot.
+    to_point maps parameters in [0, 1) onto the curve, and vals holds F at
+    the seed parameters ts; intervals whose complex-log step (phase and
+    magnitude ratio jointly) exceeds 0.8 are bisected until every step is
+    resolved.  Watching the magnitude as well as the phase matters: a zero
+    just off the curve concentrates a near-pi swing in a window far narrower
+    than any fixed sampling, where the wrapped phase step alone can alias to
+    something small, but the |F| dip cannot.
 
     Refinement is capped at a few multiples of the seed count: a curve that
     wants more is either undersampled (reseed denser), grazing a zero, or
@@ -113,14 +119,14 @@ def _cycle_winding(F, to_point, n0: int) -> int:
             return _BudgetExceeded("phase refinement exceeded its sample budget")
         return NonIntegerWinding("phase steps failed to resolve under bisection")
 
-    budget = 8 * n0 + 1024
-    ts = np.linspace(0.0, 1.0, n0, endpoint=False)
-    vals = _eval_density(F, to_point(ts))
+    budget = 8 * ts.size + 1024
     for _ in range(48):
         if float(np.abs(vals).min()) < 1e-280:
             raise ZeroOnContour("kernel magnitude vanishes on the counting contour")
-        ratio = np.roll(vals, -1) / vals
-        steps = np.angle(ratio)
+        ratio = np.empty_like(vals)
+        np.divide(vals[1:], vals[:-1], out=ratio[:-1])
+        np.divide(vals[:1], vals[-1:], out=ratio[-1:])
+        steps = np.arctan2(ratio.imag, ratio.real)
         metric = np.hypot(np.log(np.abs(ratio)), steps)
         bad = ~np.isfinite(metric) | (metric > 0.8)
         if not bad.any():
@@ -144,26 +150,45 @@ def _cycle_winding(F, to_point, n0: int) -> int:
     raise fail(vals)
 
 
-def _verified_winding(F, to_point, n0: int) -> int:
+@functools.lru_cache(maxsize=16)
+def _seeds(n: int) -> np.ndarray:
+    ts = np.linspace(0.0, 1.0, n, endpoint=False)
+    ts.flags.writeable = False
+    return ts
+
+
+def _verified_winding(F, to_point, n0: int, dense: np.ndarray | None = None) -> int:
     """Winding with a sampling-density certificate.
 
     The adaptive refinement in _cycle_winding can be fooled when an entire
     near-pi swing and its matching |F| dip both hide strictly between two
     seed samples; reseeding 4x denser moves the sample grid into any such
     window, so two consecutive densities agreeing certifies the count.
+
+    One dense grid serves both densities: F is evaluated on the 4 n0 seeds
+    (or dense holds it there already), and the n0 pass reads every 4th
+    sample, since _seeds(4 n)[::4] equals _seeds(n) bit for bit.  A reseed
+    evaluates only the next 4x grid and compares it with the last dense count.
     """
-    prev: int | None = None
-    while True:
+    def count(ts: np.ndarray, vals: np.ndarray) -> int | None:
         try:
-            got = _cycle_winding(F, to_point, n0)
+            return _cycle_winding(F, to_point, ts, vals)
         except _BudgetExceeded:
-            got = None  # structure finer than the seeds; only density helps
+            return None  # structure finer than the seeds; only density helps
+
+    ts = _seeds(4 * n0)
+    if dense is None:
+        dense = _eval_density(F, to_point(ts))
+    prev = count(ts[::4], dense[::4])
+    while True:
+        got = count(ts, dense)
         if got is not None and got == prev:
             return got
-        if n0 >= 32768:
+        if ts.size >= 32768:
             raise NonIntegerWinding(
                 "winding number keeps changing under sampling refinement")
-        prev, n0 = got, n0 * 4
+        prev, ts = got, _seeds(4 * ts.size)
+        dense = _eval_density(F, to_point(ts))
 
 
 def count_left_zeros(F, radius: float, eps: float) -> int:
@@ -191,8 +216,9 @@ def count_left_zeros(F, radius: float, eps: float) -> int:
     return _verified_winding(F, to_point, n0)
 
 
-def _rect_winding(F, x0: float, x1: float, y0: float, y1: float) -> int:
-    corners = np.array([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1])
+def _rect_path(R: float):
+    """The boundary of [-R, -1e-6] x [-R, R], counterclockwise over [0, 1)."""
+    corners = np.array([-R - 1j * R, -1e-6 - 1j * R, -1e-6 + 1j * R, -R + 1j * R])
 
     def to_point(ts: np.ndarray) -> np.ndarray:
         u = np.asarray(ts) * 4.0
@@ -201,7 +227,7 @@ def _rect_winding(F, x0: float, x1: float, y0: float, y1: float) -> int:
         start = corners[k]
         return start + frac * (corners[(k + 1) % 4] - start)
 
-    return _verified_winding(F, to_point, 128)
+    return to_point
 
 
 def _trim_poly(p: np.ndarray) -> np.ndarray:
@@ -342,18 +368,27 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
     return center + scale * _roots_from_power_sums(total)
 
 
+@functools.cache
+def _disc_rule() -> tuple[np.ndarray, list]:
+    """The 128 unit-circle nodes of a root disc, and i k, the spectral-
+    derivative multipliers of its 64- and 128-node trapezoid sums."""
+    mults = [1j * np.fft.fftfreq(n, 1.0 / n) for n in (64, 128)]
+    for m in mults:
+        m[m.size // 2] = 0.0
+    return np.exp(2j * math.pi * np.arange(128) / 128), mults
+
+
 def _disc_moments(F, center: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid sums of (1/2 pi i) oint ((xi - center)/radius)^k F'/F dxi,
     k <= _ORDER, with F' from the spectral derivative on the circle, at 64
     and at 128 nodes; the 64 nodes are every other one of the 128."""
-    vals = _eval_density(F, center + radius * np.exp(2j * math.pi * np.arange(128) / 128))
+    unit, mults = _disc_rule()
+    vals = _eval_density(F, center + radius * unit)
     if not np.all(vals):
         raise ZeroOnContour("kernel vanishes on a root disc")
     sums = []
-    for w in (vals[::2], vals):
-        freq = np.fft.fftfreq(w.size, 1.0 / w.size)
-        freq[w.size // 2] = 0.0
-        g = np.fft.ifft(1j * freq * np.fft.fft(w)) / w
+    for w, mult in zip((vals[::2], vals), mults):
+        g = np.fft.ifft(mult * np.fft.fft(w)) / w
         sums.append(np.fft.ifft(g)[:_ORDER + 1] / 1j)  # (1/n) sum_j g_j v_j^k
     return sums[0], sums[1]
 
@@ -442,15 +477,18 @@ def _settle(F, roots: list[complex], count: int) -> tuple[list, tuple]:
 
 def _enclosing_count(F, kernel: RationalKernel, z: complex, s: complex) -> tuple[int, float]:
     """Zeros N in the rectangle [-R, -1e-6] x [-R, R], with R from the Fujiwara
-    bound and doubled until the count at 2R agrees."""
+    bound and doubled until the count at 2R agrees.  The first R and 2R share
+    one evaluation; after a doubling only the new 2R rectangle is counted."""
     R = max(_coeff_bound(kernel, z, s), 1.0)
-    for _ in range(6):
-        inner = _rect_winding(F, -R, -1e-6, -R, R)
-        outer = _rect_winding(F, -2 * R, -1e-6, -2 * R, 2 * R)
-        if inner == outer:
-            return inner, R
-        R *= 2.0
-    raise CountMismatch("enclosing rectangle count failed to stabilize")
+    paths = [_rect_path(R), _rect_path(2.0 * R)]
+    ts = _seeds(4 * _RECT_SEEDS)
+    dense = _eval_density(F, np.stack([path(ts) for path in paths]))
+    counts = [_verified_winding(F, path, _RECT_SEEDS, vals) for path, vals in zip(paths, dense)]
+    while counts[-1] != counts[-2]:
+        if len(counts) == 7:
+            raise CountMismatch("enclosing rectangle count failed to stabilize")
+        counts.append(_verified_winding(F, _rect_path(R * 2 ** len(counts)), _RECT_SEEDS))
+    return counts[-1], R * 2 ** (len(counts) - 2)
 
 
 def _moment_estimates(F: _Budget, count: int, R: float, scale: float) -> np.ndarray:

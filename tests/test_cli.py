@@ -381,6 +381,16 @@ def test_invert_empty_grid(mm1_file):
     assert run(["invert", "--model", mm1_file, "--t", ",,"]) == 1
 
 
+@pytest.mark.parametrize("z, t", [("1", "1+2j"), ("0.5+0.5j", "1")])
+def test_invert_rejects_complex_z_and_t(mm1_file, tmp_path, z, t):
+    # Bromwich inversion of a complex-z transform, or at a complex t, is
+    # not the density: once it printed -56.77, or inverted at t = 1
+    out = tmp_path / "i.csv"
+    assert run(["invert", "--model", mm1_file, "--z", z, "--t", t,
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 # --- verify-hewitt -----------------------------------------------------------
 
 

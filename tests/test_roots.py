@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from walkfluct import roots
 from walkfluct.contour import ContourSpec
 from walkfluct.errors import (
     CountMismatch,
@@ -16,7 +17,12 @@ from walkfluct.errors import (
     WalkfluctError,
     ZeroOnContour,
 )
-from walkfluct.fluct import busy_period_rational, busy_period_transform, walk_functionals
+from walkfluct.fluct import (
+    busy_period_rational,
+    busy_period_transform,
+    invert_to_distribution,
+    walk_functionals,
+)
 from walkfluct.model import (
     Deterministic,
     Erlang,
@@ -27,6 +33,7 @@ from walkfluct.model import (
     build_markov_modulated,
     build_product_model,
     build_threshold_model,
+    builtin_models,
 )
 from walkfluct.roots import (
     _ORDER,
@@ -301,9 +308,7 @@ def test_certificate_agrees_with_the_full_count():
                 f"trial {trial}: {mdl.label} at z={z:.3f}, s={s:.3f}")
 
 
-def test_markov_find_spends_few_kernel_points(models, monkeypatch):
-    # certified by three doubling half-disc counts, this find took about
-    # 129,000 kernel points
+def _count_kernel_points(monkeypatch) -> list:
     used = []
     plain = RationalKernel.eval_shifted
 
@@ -312,7 +317,95 @@ def test_markov_find_spends_few_kernel_points(models, monkeypatch):
         return plain(self, xi, z, s)
 
     monkeypatch.setattr(RationalKernel, "eval_shifted", counted)
+    return used
+
+
+def test_markov_find_spends_few_kernel_points(models, monkeypatch):
+    # certified by three doubling half-disc counts, this find took about
+    # 129,000 kernel points
+    used = _count_kernel_points(monkeypatch)
     rep = find_kernel_roots(models["markov_2state"].rational,
                             0.65 * np.exp(0.3j), 1.0 + 0.2j)
     assert rep.count_argument_principle == 2
     assert sum(used) <= 10_000
+
+
+def test_mm1_invert_spends_few_kernel_points(monkeypatch):
+    # a fresh kernel, so the base roots are found here too; with separate
+    # coarse and dense winding grids this took 145,260 kernel points
+    wf = walk_functionals(builtin_models()["product_mm1"])
+    used = _count_kernel_points(monkeypatch)
+    invert_to_distribution(lambda s: busy_period_rational(wf, 1.0, s).value, [1.0])
+    assert sum(used) <= 120_000
+
+
+def test_half_disc_count_reads_one_dense_grid():
+    # n0 = 256 seeds: the coarse pass reads every 4th of the 1,024 dense
+    # samples, where it once evaluated its own 256 first
+    seen = []
+
+    def F(xi):
+        seen.append(np.size(xi))
+        return xi + 1.0
+
+    assert count_left_zeros(F, 3.0, 0.3) == 1
+    assert sum(seen) == 1024
+
+
+def _fake_windings(monkeypatch, count) -> list:
+    sizes = []
+
+    def fake(F, to_point, ts, vals):
+        assert vals.size == ts.size
+        sizes.append(ts.size)
+        return count(ts.size)
+
+    monkeypatch.setattr(roots, "_cycle_winding", fake)
+    return sizes
+
+
+def _circle(ts):
+    return np.exp(2j * math.pi * np.asarray(ts))
+
+
+def test_density_disagreement_reseeds(monkeypatch):
+    # n0 and 4 n0 disagree, 4 n0 and 16 n0 agree: one reseed, and the
+    # 4 n0 pass is not run twice
+    sizes = _fake_windings(monkeypatch, lambda n: 0 if n == 64 else 1)
+    assert roots._verified_winding(lambda xi: xi, _circle, 64) == 1
+    assert sizes == [64, 256, 1024]
+
+
+def test_density_certificate_raises_at_the_cap(monkeypatch):
+    sizes = _fake_windings(monkeypatch, lambda n: n)
+    with pytest.raises(NonIntegerWinding, match="keeps changing"):
+        roots._verified_winding(lambda xi: xi, _circle, 128)
+    assert sizes == [128, 512, 2048, 8192, 32768]
+
+
+def test_enclosing_count_reuses_the_outer_count_after_a_doubling(models, monkeypatch):
+    # a radius 20x too small makes R double at least once; the old 2R
+    # rectangle is the new R one, so k radii R cost k + 1 rectangle counts,
+    # not the 2k of counting both rectangles afresh each time
+    kernel = models["product_mm1"].rational
+    plain = find_kernel_roots(kernel, 0.5, 1.0)
+    bound, path, enclosing = roots._coeff_bound, roots._rect_path, roots._enclosing_count
+    radii, settled = [], []
+
+    def counted(R):
+        radii.append(R)
+        return path(R)
+
+    def kept(*args):
+        settled.append(enclosing(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(roots, "_coeff_bound", lambda *a: 0.05 * bound(*a))
+    monkeypatch.setattr(roots, "_rect_path", counted)
+    monkeypatch.setattr(roots, "_enclosing_count", kept)
+    rep = find_kernel_roots(kernel, 0.5, 1.0)
+    assert rep.count_argument_principle == plain.count_argument_principle
+    assert rep.roots == plain.roots
+    k = round(math.log2(settled[0][1] / radii[0])) + 1  # radii R compared with 2R
+    assert k >= 2
+    assert len(radii) == k + 1 < 2 * k
