@@ -343,6 +343,7 @@ def invert_to_distribution(transform: Callable[[complex], complex],
 
     The transform must be that of a real function, f(conj s) = conj f(s):
     the series sums Re f(s) alone, so any other input gives a wrong value.
+    A t that is not real, finite and positive raises DomainError.
 
     Damped alternating series on the Bromwich line with Euler (binomial)
     acceleration; _DECAY bounds the aliasing error by roughly e^{-_DECAY}.
@@ -355,9 +356,11 @@ def invert_to_distribution(transform: Callable[[complex], complex],
                       dtype=float)
     out: list[float] = []
     for t_raw in t_grid:
-        t = float(t_raw)
-        if t <= 0.0:
-            raise ValueError("inversion grid points must be positive")
+        t = complex(t_raw)
+        if t.imag or not (math.isfinite(t.real) and t.real > 0.0):
+            raise DomainError(f"inversion grid point t = {t_raw} must be real, finite "
+                              "and positive")
+        t = t.real
         ks = np.arange(_TERMS + _EULER_DEPTH + 1)
         fv = np.array([complex(transform(complex((_DECAY + _TWO_PI * k * 1j) / (2 * t))))
                        for k in ks])

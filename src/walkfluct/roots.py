@@ -2,37 +2,39 @@
 
 The counting contour is the segment Re xi = -eps closed by a left arc,
 traversed counterclockwise; its winding number equals the number of enclosed
-zeros.  Every find first counts the N zeros in an enclosing rectangle
-[-R, -1e-6] x [-R, R], R from the Fujiwara bound, doubled until the count at
-2R agrees.  Kernels that clear to a polynomial get first root estimates
+zeros.  In every regime _check_count_domain admits, Rouche's theorem gives
+h2 - z h1 as many left zeros as h2, which are N = kernel.degree (Cohen, The
+Single Server Queue, 1982, Part II), and every find settles its roots
+against that N.  Kernels that clear to a polynomial get first root estimates
 from a companion solve, the rest from a contour-moment locator (Delves &
 Lyness 1967, Math. Comp. 21:543-560; Kravanja & Van Barel 2000, LNM 1727):
 integrate the power sums (1/2 pi i) oint (xi - c)^k F'/F dxi, k <= N, on
-adaptive Gauss-Legendre panels and solve for them through Newton's
-identities.  Either way every estimate, or group of near estimates, is
-checked on a disc of its own, the discs must hold N zeros in all, and
-every disc reports the roots of its own power sums.  Those average the
-kernel's rounding noise over the disc's circle, where an iteration on F
-would stop at the first point that noise hides, and stay accurate for
-numerically coincident zeros.  Every disc keeps the gap between its moments
-and its reported roots' power sums, which bounds the error in root products
-(Kravanja, Sakurai & Van Barel 1999, BIT 39:646-682).  Location spends at
-most _LOCATE_BUDGET kernel evaluations, the rectangle count included.
+adaptive Gauss-Legendre panels about the box [-R, -1e-6] x [-R, R], R from
+the Fujiwara bound and doubled while the box holds fewer than N zeros, and
+solve for them through Newton's identities.  Either way every estimate, or
+group of near estimates, is checked on a disc of its own, the discs must
+hold N zeros in all, and every disc reports the roots of its own power
+sums.  Those average the kernel's rounding noise over the disc's circle,
+where an iteration on F would stop at the first point that noise hides, and
+stay accurate for numerically coincident zeros.  Every disc keeps the gap
+between its moments and its reported roots' power sums, which bounds the
+error in root products (Kravanja, Sakurai & Van Barel 1999, BIT
+39:646-682).  Location spends at most _LOCATE_BUDGET kernel evaluations.
 
-So two counts certify a find.  The rectangle count is the locator's own:
-the roots are settled against it.  The independent one is a single
+So the theorem gives the count and an independent count checks it: a single
 count_left_zeros on the half-disc about the located roots, sized from them
-and counted afresh; it must agree.  The roots are also checked by their
-residuals.  verify_rouche adds a full count on top, at three doubling radii
-and offset at most 0.05 from the axis.
+and counted afresh, must agree.  A custom kernel whose h2 has a zero outside
+the open left half-plane fails there or in the discs' total.  The roots are
+also checked by their residuals.  verify_rouche adds a full count on top, at
+three doubling radii and offset at most 0.05 from the axis.
 
 Every count is certified by two sampling densities that agree, and one
-dense grid serves both: the coarse pass reads every 4th dense sample.  The
-R and 2R rectangles share one evaluation of their dense grids.
+dense grid serves both: the coarse pass reads every 4th dense sample.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ import numpy as np
 from .contour import _eval_density, _gauss_legendre
 from .errors import (
     CountMismatch,
+    DomainError,
     NoConvergence,
     NonIntegerWinding,
     PreconditionViolated,
@@ -51,8 +54,7 @@ from .model import RationalKernel
 
 __all__ = ["RootReport", "count_left_zeros", "find_kernel_roots", "verify_rouche"]
 
-_AXIS_TOL = 1e-9   # roots closer to the axis than this count as on-axis
-_RECT_SEEDS = 128  # coarse seed count of an enclosing rectangle's winding
+_AXIS_TOL = 1e-9  # roots closer to the axis than this count as on-axis
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class RootReport:
     count_argument_principle is the independent half-disc count:
     count_left_zeros on {Re xi < -contour_offset_eps, |xi| < contour_radius},
     with the radius 2(1 + max|r|) and the offset half the smallest |Re r|.
-    It equals the locator's enclosing rectangle count, which the roots were
-    settled against.
+    It checks the kernel degree, the count Rouche's theorem gives and the
+    roots were settled against.
     """
 
     roots: tuple
@@ -157,7 +159,7 @@ def _seeds(n: int) -> np.ndarray:
     return ts
 
 
-def _verified_winding(F, to_point, n0: int, dense: np.ndarray | None = None) -> int:
+def _verified_winding(F, to_point, n0: int) -> int:
     """Winding with a sampling-density certificate.
 
     The adaptive refinement in _cycle_winding can be fooled when an entire
@@ -165,10 +167,10 @@ def _verified_winding(F, to_point, n0: int, dense: np.ndarray | None = None) -> 
     seed samples; reseeding 4x denser moves the sample grid into any such
     window, so two consecutive densities agreeing certifies the count.
 
-    One dense grid serves both densities: F is evaluated on the 4 n0 seeds
-    (or dense holds it there already), and the n0 pass reads every 4th
-    sample, since _seeds(4 n)[::4] equals _seeds(n) bit for bit.  A reseed
-    evaluates only the next 4x grid and compares it with the last dense count.
+    One dense grid serves both densities: F is evaluated on the 4 n0 seeds,
+    and the n0 pass reads every 4th sample, since _seeds(4 n)[::4] equals
+    _seeds(n) bit for bit.  A reseed evaluates only the next 4x grid and
+    compares it with the last dense count.
     """
     def count(ts: np.ndarray, vals: np.ndarray) -> int | None:
         try:
@@ -177,8 +179,7 @@ def _verified_winding(F, to_point, n0: int, dense: np.ndarray | None = None) -> 
             return None  # structure finer than the seeds; only density helps
 
     ts = _seeds(4 * n0)
-    if dense is None:
-        dense = _eval_density(F, to_point(ts))
+    dense = _eval_density(F, to_point(ts))
     prev = count(ts[::4], dense[::4])
     while True:
         got = count(ts, dense)
@@ -216,20 +217,6 @@ def count_left_zeros(F, radius: float, eps: float) -> int:
     return _verified_winding(F, to_point, n0)
 
 
-def _rect_path(R: float):
-    """The boundary of [-R, -1e-6] x [-R, R], counterclockwise over [0, 1)."""
-    corners = np.array([-R - 1j * R, -1e-6 - 1j * R, -1e-6 + 1j * R, -R + 1j * R])
-
-    def to_point(ts: np.ndarray) -> np.ndarray:
-        u = np.asarray(ts) * 4.0
-        k = np.minimum(u.astype(int), 3)
-        frac = u - k
-        start = corners[k]
-        return start + frac * (corners[(k + 1) % 4] - start)
-
-    return to_point
-
-
 def _trim_poly(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     mags = np.abs(p)
@@ -238,6 +225,8 @@ def _trim_poly(p: np.ndarray) -> np.ndarray:
 
 
 def _check_count_domain(z: complex, s: complex, stable_drift) -> None:
+    if not (cmath.isfinite(z) and cmath.isfinite(s)):
+        raise DomainError(f"z = {z} and s = {s} must be finite")
     if s.real < -1e-12:
         raise PreconditionViolated("Re s must be nonnegative")
     az = abs(z)
@@ -266,7 +255,8 @@ def _coeff_bound(kernel: RationalKernel, z: complex, s: complex) -> float:
 
     The kernel is read as a monic polynomial in xi whose k-th coefficient is
     bounded by M_k, sampled where s2 = s - xi actually lives (Re s2 >= Re s
-    along the left contour); the caller confirms the radius by counting.
+    along the left contour); the moment box doubles it while it holds too
+    few zeros.
     """
     probes = s + np.array([0.01, 1.0, 5.0, 20.0, 100.0,
                            0.01 + 3j, 0.01 - 3j, 1.0 + 10j, 1.0 - 10j])
@@ -301,16 +291,16 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Budget:
     """The kernel, with every evaluation charged to one location's budget."""
 
-    def __init__(self, F) -> None:
-        self.F, self.used, self.count, self.level, self.gap = F, 0, None, 0, None
+    def __init__(self, F, count: int) -> None:
+        self.F, self.used, self.count, self.level, self.gap = F, 0, count, 0, None
 
     def __call__(self, xi):
         self.used += int(np.size(xi))
         if self.used > _LOCATE_BUDGET:
             raise NoConvergence(
                 f"root location exceeded its budget: {self.used} of {_LOCATE_BUDGET} "
-                f"kernel evaluations, enclosing count N = {self.count}, panel level "
-                f"{self.level}, last |p_0 - N| = {self.gap}")
+                f"kernel evaluations, root count N = {self.count} (the kernel degree), "
+                f"panel level {self.level}, last |p_0 - N| = {self.gap}")
         return self.F(xi)
 
 
@@ -331,7 +321,7 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
     starts as 8 panels; a panel is bisected until it agrees with its two
     halves to 1e-11, or to within what an absolute error `noise` in F can
     move it (near a zero just off the contour), and p_0 must then be within
-    1e-6 of the winding count.
+    1e-6 of the root count.
     """
     center, scale = complex(x0 + x1, y0 + y1) / 2, abs(complex(x1 - x0, y1 - y0)) / 2
     nodes, weights, D = _moment_rule()
@@ -364,7 +354,8 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
         est_noise = np.r_[kid_noise[:n][~ok], kid_noise[n:][~ok]]
         F.gap = abs(total[0] + est[:, 0].sum() - count)
     if F.gap > 1e-6:
-        raise CountMismatch(f"moment p_0 misses the enclosing count {count} by {F.gap:.3g}")
+        raise CountMismatch(f"moment p_0 misses the root count {count} (the kernel degree) "
+                            f"by {F.gap:.3g}")
     return center + scale * _roots_from_power_sums(total)
 
 
@@ -471,38 +462,32 @@ def _settle(F, roots: list[complex], count: int) -> tuple[list, tuple]:
         settled.append(RootDisc(c0, radius, local, tuple((gap + err) / j)))
         out.extend(local)
     if len(out) != count:
-        raise CountMismatch(f"root discs hold {len(out)} zeros, the locator {count}")
+        raise CountMismatch(f"root discs hold {len(out)} zeros, the kernel degree is {count}")
     return out, tuple(settled)
 
 
-def _enclosing_count(F, kernel: RationalKernel, z: complex, s: complex) -> tuple[int, float]:
-    """Zeros N in the rectangle [-R, -1e-6] x [-R, R], with R from the Fujiwara
-    bound and doubled until the count at 2R agrees.  The first R and 2R share
-    one evaluation; after a doubling only the new 2R rectangle is counted."""
-    R = max(_coeff_bound(kernel, z, s), 1.0)
-    paths = [_rect_path(R), _rect_path(2.0 * R)]
-    ts = _seeds(4 * _RECT_SEEDS)
-    dense = _eval_density(F, np.stack([path(ts) for path in paths]))
-    counts = [_verified_winding(F, path, _RECT_SEEDS, vals) for path, vals in zip(paths, dense)]
-    while counts[-1] != counts[-2]:
-        if len(counts) == 7:
-            raise CountMismatch("enclosing rectangle count failed to stabilize")
-        counts.append(_verified_winding(F, _rect_path(R * 2 ** len(counts)), _RECT_SEEDS))
-    return counts[-1], R * 2 ** (len(counts) - 2)
-
-
-def _moment_estimates(F: _Budget, count: int, R: float, scale: float) -> np.ndarray:
-    """First estimates of the count left zeros in [-R, -1e-6] x [-R, R], from
-    their power sums, first on that rectangle and then on a box three times
-    their spread."""
-    if count == 0:
+def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex, s: complex,
+                      scale: float) -> np.ndarray:
+    """First estimates of the F.count left zeros from their power sums, first
+    on [-R, -1e-6] x [-R, R] and then on a box three times their spread.  R
+    starts at the Fujiwara bound and doubles while the box holds too few
+    zeros, up to 7 radii."""
+    if F.count == 0:
         return np.array([])
     noise = 1e-15 * scale  # rounding in F at the kernel's scale
-    approx = _box_roots(F, -R, -1e-6, -R, R, count, noise)
+    R = max(_coeff_bound(kernel, z, s), 1.0)
+    for doublings in range(7):
+        try:
+            approx = _box_roots(F, -R, -1e-6, -R, R, F.count, noise)
+            break
+        except CountMismatch:
+            if doublings == 6:
+                raise
+            R *= 2.0
     w = max(np.ptp(approx.real), np.ptp(approx.imag), 0.25 * (1.0 + np.abs(approx).max()))
     try:
         approx = _box_roots(F, approx.real.min() - w, min(approx.real.max() + w, -1e-6),
-                            approx.imag.min() - w, approx.imag.max() + w, count, noise)
+                            approx.imag.min() - w, approx.imag.max() + w, F.count, noise)
     except (CountMismatch, ZeroOnContour):
         pass  # a zero lies outside the smaller box: keep the first estimates
     return approx
@@ -510,15 +495,14 @@ def _moment_estimates(F: _Budget, count: int, R: float, scale: float) -> np.ndar
 
 def _locate(F, kernel: RationalKernel, z: complex, s: complex,
             scale: float) -> tuple[list[complex], tuple]:
-    """Left zeros of F and their discs, all on one budget.  The enclosing
-    rectangle certifies their number; a kernel that clears to a polynomial
-    takes its first estimates from a companion solve, the rest from the
-    contour-moment locator, and every estimate is settled against that
-    number."""
-    F = _Budget(F)
-    F.count, R = _enclosing_count(F, kernel, z, s)
+    """Left zeros of F and their discs, all on one budget.  Their number is
+    the kernel degree, by Rouche's theorem; a kernel that clears to a
+    polynomial takes its first estimates from a companion solve, the rest
+    from the contour-moment locator, and every estimate is settled against
+    that number."""
+    F = _Budget(F, kernel.degree)
     if kernel.clear_fn is None:
-        approx = _moment_estimates(F, F.count, R, scale)
+        approx = _moment_estimates(F, kernel, z, s, scale)
     else:
         approx = np.roots(_trim_poly(kernel.clear_fn(z, s)))
     return _settle(F, [complex(r) for r in approx if r.real < -_AXIS_TOL], F.count)
@@ -537,13 +521,14 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
                       stable_drift: bool | None = None) -> RootReport:
     """All open-left-half-plane roots of h2(xi, s-xi) - z*h1(xi, s-xi).
 
-    Two counts certify them.  The locator's enclosing rectangle count, stable
-    under doubling, is the number every root estimate is settled against.
-    The independent one, RootReport.count_argument_principle, is one
-    count_left_zeros on the half-disc of radius 2(1 + max|r|), offset half
-    the smallest |Re r| from the axis; it must agree.  Every root is also
-    checked against its kernel residual.  Outside the regimes where the root
-    count is guaranteed, raises PreconditionViolated; z = 1 with Re s = 0
+    Their number is the kernel degree, the count Rouche's theorem gives in
+    every admitted regime, and every root estimate is settled against it.
+    An independent count checks it: RootReport.count_argument_principle is
+    one count_left_zeros on the half-disc of radius 2(1 + max|r|), offset
+    half the smallest |Re r| from the axis, and it must agree.  Every root is
+    also checked against its kernel residual.  A NaN or infinite z or s
+    raises DomainError.  Outside the regimes where the root count is
+    guaranteed, raises PreconditionViolated; z = 1 with Re s = 0
     additionally needs the caller to assert negative drift via
     stable_drift=True.
     """

@@ -381,10 +381,12 @@ def test_invert_empty_grid(mm1_file):
     assert run(["invert", "--model", mm1_file, "--t", ",,"]) == 1
 
 
-@pytest.mark.parametrize("z, t", [("1", "1+2j"), ("0.5+0.5j", "1")])
+@pytest.mark.parametrize("z, t", [("1", "1+2j"), ("0.5+0.5j", "1"), ("1", "inf"),
+                                  ("1", "nan")])
 def test_invert_rejects_complex_z_and_t(mm1_file, tmp_path, z, t):
     # Bromwich inversion of a complex-z transform, or at a complex t, is
-    # not the density: once it printed -56.77, or inverted at t = 1
+    # not the density: once it printed -56.77, or inverted at t = 1; and
+    # --t inf once wrote "inf,0" and exited 0
     out = tmp_path / "i.csv"
     assert run(["invert", "--model", mm1_file, "--z", z, "--t", t,
                 "--out", str(out)]) == 1

@@ -135,6 +135,20 @@ def test_invert_exponential_density():
         assert abs(v - lam * math.exp(-lam * t)) < 1e-6
 
 
+@pytest.mark.parametrize("t", [1 + 2j, math.nan, math.inf, 0.0, -1.0])
+def test_invert_rejects_a_time_that_is_not_real_finite_and_positive(t):
+    # a complex t once raised TypeError, and t = inf returned 0.0
+    calls = []
+
+    def transform(s):
+        calls.append(s)
+        return 1.0 / (1.0 + s)
+
+    with pytest.raises(DomainError, match="must be real, finite and positive"):
+        invert_to_distribution(transform, [t])
+    assert not calls
+
+
 def _bessel_i1(x: float) -> float:
     term = x / 2.0
     out = 0.0

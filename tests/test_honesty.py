@@ -64,7 +64,7 @@ def test_rational_uniform_a_law_against_tight_contour():
                           "Markov kernel whose 8 left roots crowd near Re xi = -8'")
 def test_crowded_markov_uniform_busy_settles_every_root():
     # 4 states, degree 8; the (z, s) find raises "root discs hold 6 zeros,
-    # the locator 8"
+    # the kernel degree is 8"
     rng = np.random.default_rng(105)
     lo = rng.uniform(0.05, 0.3)
     w = rng.uniform(0.8, 2.0)

@@ -11,6 +11,7 @@ from walkfluct import roots
 from walkfluct.contour import ContourSpec
 from walkfluct.errors import (
     CountMismatch,
+    DomainError,
     NoConvergence,
     NonIntegerWinding,
     PreconditionViolated,
@@ -236,7 +237,8 @@ def test_locator_budget_exhaustion_raises(models, monkeypatch):
         find_kernel_roots(models["threshold_exp"].rational, 0.5, 0.7)
     assert time.monotonic() - t0 < 1.0
     # the message carries what is needed to explain the failure afterwards
-    for part in ("kernel evaluations", "enclosing count N", "panel level", "|p_0 - N|"):
+    for part in ("kernel evaluations", "root count N = 2 (the kernel degree)", "panel level",
+                 "|p_0 - N|"):
         assert part in str(info.value)
 
 
@@ -278,9 +280,9 @@ def test_disc_moments_match_the_power_matrix_sum():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_companion_route_missing_root_fails_the_enclosing_count(models):
-    # the companion solve loses the root at -3.16; the rectangle still counts
-    # two zeros, so the discs settled against it come up one short
+def test_companion_route_missing_root_fails_the_degree_count(models):
+    # the companion solve loses the root at -3.16; the kernel degree still
+    # says two zeros, so the discs settled against it come up one short
     ker = models["markov_2state"].rational
 
     def drop_one(z, s):
@@ -289,7 +291,7 @@ def test_companion_route_missing_root_fails_the_enclosing_count(models):
         lost = np.argmax(np.where(r.real < 0, r.real, -np.inf))  # the rightmost left root
         return p[0] * np.poly(np.delete(r, lost))
 
-    with pytest.raises(CountMismatch, match="root discs hold 1 zeros, the locator 2"):
+    with pytest.raises(CountMismatch, match="root discs hold 1 zeros, the kernel degree is 2"):
         find_kernel_roots(dataclasses.replace(ker, clear_fn=drop_one), 0.9, 0.0)
 
 
@@ -322,21 +324,23 @@ def _count_kernel_points(monkeypatch) -> list:
 
 def test_markov_find_spends_few_kernel_points(models, monkeypatch):
     # certified by three doubling half-disc counts, this find took about
-    # 129,000 kernel points
+    # 129,000 kernel points, and 2,311 while an enclosing rectangle recounted
+    # the kernel degree
     used = _count_kernel_points(monkeypatch)
     rep = find_kernel_roots(models["markov_2state"].rational,
                             0.65 * np.exp(0.3j), 1.0 + 0.2j)
     assert rep.count_argument_principle == 2
-    assert sum(used) <= 10_000
+    assert sum(used) <= 2_000
 
 
 def test_mm1_invert_spends_few_kernel_points(monkeypatch):
     # a fresh kernel, so the base roots are found here too; with separate
-    # coarse and dense winding grids this took 145,260 kernel points
+    # coarse and dense winding grids this took 145,260 kernel points, and
+    # 117,612 while an enclosing rectangle recounted the kernel degree
     wf = walk_functionals(builtin_models()["product_mm1"])
     used = _count_kernel_points(monkeypatch)
     invert_to_distribution(lambda s: busy_period_rational(wf, 1.0, s).value, [1.0])
-    assert sum(used) <= 120_000
+    assert sum(used) <= 70_000
 
 
 def test_half_disc_count_reads_one_dense_grid():
@@ -383,29 +387,49 @@ def test_density_certificate_raises_at_the_cap(monkeypatch):
     assert sizes == [128, 512, 2048, 8192, 32768]
 
 
-def test_enclosing_count_reuses_the_outer_count_after_a_doubling(models, monkeypatch):
-    # a radius 20x too small makes R double at least once; the old 2R
-    # rectangle is the new R one, so k radii R cost k + 1 rectangle counts,
-    # not the 2k of counting both rectangles afresh each time
-    kernel = models["product_mm1"].rational
+def test_moment_box_doubles_until_it_holds_the_degree(models, monkeypatch):
+    # a Fujiwara radius 20x too small gives a first box R = 1 that misses a
+    # zero; R doubles to 2 and 4, and the box three times the roots' spread
+    # then refines the same roots
+    kernel = models["threshold_exp"].rational
+    assert kernel.clear_fn is None
     plain = find_kernel_roots(kernel, 0.5, 1.0)
-    bound, path, enclosing = roots._coeff_bound, roots._rect_path, roots._enclosing_count
-    radii, settled = [], []
+    bound, box = roots._coeff_bound, roots._box_roots
+    boxes = []
 
-    def counted(R):
-        radii.append(R)
-        return path(R)
-
-    def kept(*args):
-        settled.append(enclosing(*args))
-        return settled[-1]
+    def seen(F, x0, x1, y0, y1, count, noise):
+        boxes.append((x0, x1, y0, y1))
+        return box(F, x0, x1, y0, y1, count, noise)
 
     monkeypatch.setattr(roots, "_coeff_bound", lambda *a: 0.05 * bound(*a))
-    monkeypatch.setattr(roots, "_rect_path", counted)
-    monkeypatch.setattr(roots, "_enclosing_count", kept)
+    monkeypatch.setattr(roots, "_box_roots", seen)
     rep = find_kernel_roots(kernel, 0.5, 1.0)
-    assert rep.count_argument_principle == plain.count_argument_principle
-    assert rep.roots == plain.roots
-    k = round(math.log2(settled[0][1] / radii[0])) + 1  # radii R compared with 2R
-    assert k >= 2
-    assert len(radii) == k + 1 < 2 * k
+    assert boxes[:3] == [(-R, -1e-6, -R, R) for R in (1.0, 2.0, 4.0)]
+    assert len(boxes) == 4 and boxes[3][0] != -4.0
+    assert rep.count_argument_principle == plain.count_argument_principle == kernel.degree
+    assert max(abs(a - b) for a, b in zip(rep.roots, plain.roots)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["product_mm1", "threshold_exp"])
+@pytest.mark.parametrize("z, s", [(math.nan, 0.5), (0.5, math.nan), (0.5, math.inf),
+                                  (complex(math.inf, math.inf), 0.5)])
+def test_non_finite_point_raises_a_typed_error(models, name, z, s):
+    # the companion solve once met a NaN polynomial here and raised LinAlgError
+    kernel = models[name].rational
+    with pytest.raises(DomainError, match="must be finite"):
+        find_kernel_roots(kernel, z, s)
+    with pytest.raises(DomainError, match="must be finite"):
+        verify_rouche(kernel, z, s)
+
+
+def test_kernel_with_a_right_zero_in_h2_fails_the_degree_count():
+    # M/M/1 times (xi - 3): h2 = (xi - 3)(xi + 2) has degree 2 but one left
+    # zero, so no find may settle for one root
+    ker = RationalKernel(C1=[[0, 2], [0, -6]], C2=[[1, 0], [-1, 0], [-6, 0]],
+                         basis=lambda s2: [1 / (1 + s2)])
+    assert ker.degree == 2
+    for z, s in [(0.5, 0.5), (0.0, 0.7), (0.9, 1j)]:
+        t0 = time.monotonic()
+        with pytest.raises(CountMismatch):
+            find_kernel_roots(ker, z, s)
+        assert time.monotonic() - t0 < 1.0
