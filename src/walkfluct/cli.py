@@ -228,15 +228,25 @@ def _cmd_eval(args) -> int:
     zs = _parse_clist(args.z, _DEFAULT_Z)
     ss = _parse_clist(args.s, _DEFAULT_S) if args.functional != "steps" else (0.0,)
     _validate_eval_grid(args.functional, args.engine, zs, ss)
-    points = [(z, s) for z in zs for s in ss]
 
-    def worker(pt):
-        z, s = pt
-        tv = _eval_point(args.functional, args.engine, wf, spec, args, z, s)
-        return [z.real, z.imag, complex(s).real, complex(s).imag,
-                tv.value.real, tv.value.imag, tv.abs_err, tv.method]
+    def row(z, s, value, abs_err, method):
+        return [z.real, z.imag, s.real, s.imag, value.real, value.imag, abs_err, method]
 
-    emit_csv(_EVAL_HEADER, _map(worker, points), args.out)
+    if args.engine == "rational" and args.functional in ("busy", "max"):
+        # one array call per z: its finds run as one batch, and max finds
+        # its z's roots once for every s
+        def z_row(z):
+            tv = _eval_point(args.functional, args.engine, wf, spec, args, z, np.array(ss))
+            return [row(z, s, complex(v), float(e), tv.method)
+                    for s, v, e in zip(ss, tv.value, tv.abs_err)]
+        rows = [r for block in _map(z_row, zs) for r in block]
+    else:
+        def worker(pt):
+            z, s = pt
+            tv = _eval_point(args.functional, args.engine, wf, spec, args, z, s)
+            return row(z, complex(s), tv.value, tv.abs_err, tv.method)
+        rows = _map(worker, [(z, s) for z in zs for s in ss])
+    emit_csv(_EVAL_HEADER, rows, args.out)
     return 0
 
 
@@ -248,7 +258,7 @@ def _cmd_roots(args) -> int:
     if model.rational is None:
         raise UnsupportedModel("model has no rational kernel")
     z, s = complex(args.z), complex(args.s)
-    report = find_kernel_roots(model.rational, z, s, stable_drift=_drift_flag(wf, z, s))
+    report = find_kernel_roots(model.rational, z, s, stable_drift=_drift_flag(wf, [(z, s)]))
     rows = [[i, r.real, r.imag, res, report.count_argument_principle,
              report.contour_radius, report.contour_offset_eps]
             for i, (r, res) in enumerate(zip(report.roots, report.residuals))]

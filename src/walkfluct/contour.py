@@ -27,6 +27,7 @@ only; phi(xi)/(xi - s) is one at a real s when phi(conj xi) = conj phi(xi).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -75,7 +76,10 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class TransformValue:
-    """A computed transform value together with its error estimate."""
+    """A computed transform value together with its error estimate.
+
+    An engine called on arrays of points returns arrays of one shape in value
+    and abs_err, and the checks below hold elementwise."""
 
     value: complex
     abs_err: float
@@ -84,9 +88,14 @@ class TransformValue:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {sorted(_METHODS)}")
-        if not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
+        err, value = self.abs_err, self.value
+        if isinstance(err, np.ndarray) or isinstance(value, np.ndarray):
+            finite, sign = np.isfinite(value).all(), np.isfinite(err).all() and (err >= 0).all()
+        else:
+            finite, sign = cmath.isfinite(value), math.isfinite(err) and err >= 0.0
+        if not sign:
             raise ValueError("abs_err must be finite and nonnegative")
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
+        if not finite:
             raise ValueError("value must be finite")
 
 

@@ -235,14 +235,46 @@ def _kernel_of(wf: WalkFunctionals) -> RationalKernel:
     return wf.model.rational
 
 
-def _drift_flag(wf: WalkFunctionals, z: complex, s: complex) -> bool | None:
+def _drift_flag(wf: WalkFunctionals, points: list[tuple]) -> bool | None:
     # Only the corner z = 1, Re s = 0 leans on the drift condition; the rest
     # of the unit circle at Re s = 0 is refused by find_kernel_roots.
-    if abs(z - 1.0) <= 1e-12 and s.real <= 1e-12:
+    if any(abs(z - 1.0) <= 1e-12 and s.real <= 1e-12 for z, s in points):
         if wf.stability != STABLE:
             raise StabilityError("z = 1 at Re s = 0 requires E B < E A")
         return True
     return None
+
+
+def _grid(names: str, *args) -> tuple[list, list[tuple], tuple | None]:
+    """The arguments broadcast: flat, the points as tuples of Python complex
+    numbers, and the call's shape.  A scalar call keeps Python complex
+    numbers and shape None, so it passes scalars on.  A NaN or infinite
+    argument is named before any root find sees it."""
+    if all(np.ndim(a) == 0 for a in args):
+        flat, shape = [complex(a) for a in args], None
+        points = [tuple(flat)]
+    else:
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+        flat, shape = [a.ravel() for a in arrays], arrays[0].shape
+        points = list(zip(*(a.tolist() for a in flat)))
+    for point in points:
+        if not all(map(cmath.isfinite, point)):
+            raise DomainError(" and ".join(f"{n} = {v:.6g}" for n, v in zip(names, point))
+                              + " must be finite")
+    return flat, points, shape
+
+
+def _each(found, n: int) -> list:
+    # one report per point, from a batch find or one report for all
+    return found if isinstance(found, list) else [found] * n
+
+
+def _stacked(values: list[TransformValue], shape: tuple | None) -> TransformValue:
+    # a scalar call's one value, or the points' values as arrays of the call's shape
+    if shape is None:
+        return values[0]
+    return TransformValue(np.array([tv.value for tv in values]).reshape(shape),
+                          np.array([tv.abs_err for tv in values]).reshape(shape), "rational")
 
 
 @functools.lru_cache(maxsize=16)
@@ -283,42 +315,62 @@ def _rational_value(value: complex, part: complex, log_err: float) -> TransformV
     return TransformValue(value, abs(part) * math.expm1(log_err), "rational")
 
 
-def busy_period_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:
-    """E[z^N e^{-sP}] as a ratio of left-root products of the shifted kernel."""
-    z, s = complex(z), complex(s)
+def busy_period_rational(wf: WalkFunctionals, z, s) -> TransformValue:
+    """E[z^N e^{-sP}] as a ratio of left-root products of the shifted kernel.
+
+    z and s broadcast.  At arrays the value and abs_err are arrays of their
+    shape, and the points' root finds run as one batch."""
+    (z, s), points, shape = _grid("zs", z, s)
     kernel = _kernel_of(wf)
-    drift = _drift_flag(wf, z, s)
+    drift = _drift_flag(wf, points)
     base = _shared_base_roots(kernel) if kernel.static_h2 else find_kernel_roots(kernel, 0.0, s)
     shifted = find_kernel_roots(kernel, z, s, stable_drift=drift)
-    ratio, log_err = _root_ratio(base, shifted, s)
-    front = 1.0 - z * complex(lst_eval(wf.model, s, 0.0))
-    return _rational_value(1.0 - front * ratio, front * ratio, log_err)
+    out = []
+    for (zi, si), b, sh in zip(points, _each(base, len(points)), _each(shifted, len(points))):
+        ratio, log_err = _root_ratio(b, sh, si)
+        front = 1.0 - zi * complex(lst_eval(wf.model, si, 0.0))
+        out.append(_rational_value(1.0 - front * ratio, front * ratio, log_err))
+    return _stacked(out, shape)
 
 
-def max_transform_rational(wf: WalkFunctionals, z: complex, s: complex) -> TransformValue:
-    """(1-z) sum_n z^n E[e^{-s M_n}]; at z = 1 the stationary maximum E[e^{-sM}]."""
-    z, s = complex(z), complex(s)
-    if s.real <= 0.0:
-        raise DomainError("Re s must be strictly positive")
+def max_transform_rational(wf: WalkFunctionals, z, s) -> TransformValue:
+    """(1-z) sum_n z^n E[e^{-s M_n}]; at z = 1 the stationary maximum E[e^{-sM}].
+
+    z and s broadcast, and at arrays the value and abs_err are arrays of
+    their shape.  The roots depend on z alone, so each distinct z takes one
+    find at s = 0, whatever the number of s values."""
+    _, points, shape = _grid("zs", z, s)
+    for _, si in points:
+        if si.real <= 0.0:
+            raise DomainError(f"Re s must be strictly positive, at s = {si:.6g}")
     kernel = _kernel_of(wf)
-    drift = _drift_flag(wf, z, 0.0)
+    distinct = list(dict.fromkeys(zi for zi, _ in points))
+    drift = _drift_flag(wf, [(zi, 0j) for zi in distinct])
     base = _shared_base_roots(kernel)
-    shifted = find_kernel_roots(kernel, z, 0.0, stable_drift=drift)
-    at_0, err_0 = _root_ratio(shifted, base, 0.0)
-    at_s, err_s = _root_ratio(base, shifted, s)
-    return _rational_value(at_0 * at_s, at_0 * at_s, err_0 + err_s)
+    found = find_kernel_roots(kernel, distinct[0] if len(distinct) == 1 else np.array(distinct),
+                              0.0, stable_drift=drift)
+    shifted = dict(zip(distinct, _each(found, len(distinct))))
+    out = []
+    for zi, si in points:
+        at_0, err_0 = _root_ratio(shifted[zi], base, 0.0)
+        at_s, err_s = _root_ratio(base, shifted[zi], si)
+        out.append(_rational_value(at_0 * at_s, at_0 * at_s, err_0 + err_s))
+    return _stacked(out, shape)
 
 
-def steps_pgf_rational(wf: WalkFunctionals, z: complex) -> TransformValue:
-    """E[z^N] as a ratio of left-root products at s = 0."""
-    z = complex(z)
-    if abs(z) >= 1.0:
+def steps_pgf_rational(wf: WalkFunctionals, z) -> TransformValue:
+    """E[z^N] as a ratio of left-root products at s = 0; z may be an array."""
+    (z,), points, shape = _grid("z", z)
+    if any(abs(zi) >= 1.0 for zi, in points):
         raise DomainError("|z| must be strictly below 1")
     kernel = _kernel_of(wf)
     base = _shared_base_roots(kernel)
     shifted = find_kernel_roots(kernel, z, 0.0)
-    ratio, log_err = _root_ratio(base, shifted, 0.0)
-    return _rational_value(1.0 - (1.0 - z) * ratio, (1.0 - z) * ratio, log_err)
+    out = []
+    for (zi,), sh in zip(points, _each(shifted, len(points))):
+        ratio, log_err = _root_ratio(base, sh, 0.0)
+        out.append(_rational_value(1.0 - (1.0 - zi) * ratio, (1.0 - zi) * ratio, log_err))
+    return _stacked(out, shape)
 
 
 # --- limits and inversion --------------------------------------------------
@@ -337,33 +389,42 @@ def geometric_limit(evaluate: Callable[[float], TransformValue], *,
     return TransformValue(value, err + max(tv.abs_err for tv in seen), seen[-1].method)
 
 
-def invert_to_distribution(transform: Callable[[complex], complex],
+def invert_to_distribution(transform: Callable[[np.ndarray], np.ndarray],
                            t_grid: Sequence[float]) -> list[float]:
     """Invert a Laplace transform on a positive t grid.
 
-    The transform must be that of a real function, f(conj s) = conj f(s):
-    the series sums Re f(s) alone, so any other input gives a wrong value.
-    A t that is not real, finite and positive raises DomainError.
+    transform is called once, on the complex array of every Bromwich
+    ordinate (one row per t, _TERMS + _EULER_DEPTH + 1 ordinates each), and
+    must return its values as an array of that shape, as the rational
+    engines' .value does; a transform written for scalars only (with cmath,
+    say) does not work.  It must be the transform of a real function,
+    f(conj s) = conj f(s): the series sums Re f(s) alone, so any other input
+    gives a wrong value.  Every t is checked before the call: one that is
+    not real, finite and positive raises DomainError.
 
     Damped alternating series on the Bromwich line with Euler (binomial)
     acceleration; _DECAY bounds the aliasing error by roughly e^{-_DECAY}.
     The error heuristic is the gap between the last two acceleration depths;
     a gap beyond 10^-2 of scale raises NoConvergence.
     """
-    weights = np.array([math.comb(_EULER_DEPTH, k) for k in range(_EULER_DEPTH + 1)],
-                       dtype=float)
-    prev_w = np.array([math.comb(_EULER_DEPTH - 1, k) for k in range(_EULER_DEPTH)],
-                      dtype=float)
-    out: list[float] = []
+    ts = []
     for t_raw in t_grid:
         t = complex(t_raw)
         if t.imag or not (math.isfinite(t.real) and t.real > 0.0):
             raise DomainError(f"inversion grid point t = {t_raw} must be real, finite "
                               "and positive")
-        t = t.real
-        ks = np.arange(_TERMS + _EULER_DEPTH + 1)
-        fv = np.array([complex(transform(complex((_DECAY + _TWO_PI * k * 1j) / (2 * t))))
-                       for k in ks])
+        ts.append(t.real)
+    if not ts:
+        return []
+    weights = np.array([math.comb(_EULER_DEPTH, k) for k in range(_EULER_DEPTH + 1)],
+                       dtype=float)
+    prev_w = np.array([math.comb(_EULER_DEPTH - 1, k) for k in range(_EULER_DEPTH)],
+                      dtype=float)
+    ks = np.arange(_TERMS + _EULER_DEPTH + 1)
+    ordinates = (_DECAY + _TWO_PI * ks * 1j) / (2 * np.array(ts, dtype=float)[:, None])
+    fvs = np.broadcast_to(np.asarray(transform(ordinates), dtype=complex), ordinates.shape)
+    out: list[float] = []
+    for t, fv in zip(ts, fvs):
         series = np.real(fv) * (-1.0) ** ks
         series[0] *= 0.5
         partial = np.cumsum(series)

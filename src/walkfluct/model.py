@@ -303,11 +303,16 @@ def _cleared(pgf, n_f, d_f, a_rat) -> Callable:
     def clear_fn(z, s):
         u = np.convolve(n_f, _poly_sub_s_minus_xi(a_num, s))
         v = np.convolve(d_f, _poly_sub_s_minus_xi(a_den, s))
+        pu, pv = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
+        for _ in range(m):
+            pu.append(np.convolve(pu[-1], u))
+            pv.append(np.convolve(pv[-1], v))
+        terms = [np.convolve(pu[k], pv[m - k]) for k in range(m + 1)]  # u^k v^(m-k)
         acc = np.array([0.0 + 0j])
         for k, c in enumerate(D):
-            acc = np.polyadd(acc, c * np.convolve(_poly_pow(u, k), _poly_pow(v, m - k)))
+            acc = np.polyadd(acc, c * terms[k])
         for k in range(1, m + 1):
-            acc = np.polysub(acc, z * N[k] * np.convolve(_poly_pow(u, k), _poly_pow(v, m - k)))
+            acc = np.polysub(acc, z * N[k] * terms[k])
         return acc
     return clear_fn
 
@@ -361,15 +366,22 @@ class RationalKernel:
 
     def _horner(self, C, s1, s2):
         # one basis evaluation; a zero entry is skipped, so a constant row stays
-        # finite where the basis has a pole
+        # finite where the basis has a pole.  C's axes past the first two hold
+        # one coefficient per point, broadcast against s1 and s2, and an entry
+        # that is zero at some points only is skipped there.
         s1 = np.asarray(s1, dtype=complex)
         b = self._basis(s2)
-        acc = np.zeros(np.broadcast(s1, np.asarray(s2)).shape, dtype=complex)
+        acc = np.zeros(np.broadcast(s1, np.asarray(s2), C[0, 0]).shape, dtype=complex)
         for row in C:
             acc = acc * s1 + row[0]
             for c, bj in zip(row[1:], b):
-                if c:
+                if not isinstance(c, np.ndarray):
+                    if c:
+                        acc += c * bj
+                elif (live := c != 0).all():
                     acc += c * bj
+                elif live.any():
+                    np.add(acc, c * bj, out=acc, where=live)
         return acc
 
     def eval_h1(self, s1, s2):
@@ -379,10 +391,15 @@ class RationalKernel:
         return self._horner(self.C2, s1, s2)
 
     def eval_shifted(self, xi, z, s):
-        """h2(xi, s - xi) - z*h1(xi, s - xi), the root-product kernel."""
-        xi = np.asarray(xi, dtype=complex)
-        C = self.C2.copy()
-        C[len(C) - len(self.C1):] -= z * self.C1
+        """h2(xi, s - xi) - z*h1(xi, s - xi), the root-product kernel.
+
+        xi, z and s broadcast, so one call covers many points (z, s): z and
+        s of shape (points, 1) against xi of shape (points, samples)."""
+        xi, z = np.asarray(xi, dtype=complex), np.asarray(z, dtype=complex)
+        lead = (1,) * z.ndim
+        C = np.empty(self.C2.shape + z.shape, dtype=complex)
+        C[...] = self.C2.reshape(self.C2.shape + lead)
+        C[len(C) - len(self.C1):] -= self.C1.reshape(self.C1.shape + lead) * z
         return self._horner(C, xi, s - xi)
 
 
@@ -438,7 +455,9 @@ def lst_eval(model: IncrementModel, s1, s2):
     """
     a1 = np.asarray(s1, dtype=complex)
     a2 = np.asarray(s2, dtype=complex)
-    re1, re2 = np.broadcast_arrays(a1.real, a2.real)
+    # each operand is checked as it is: the first offending entry of its own
+    # is the first one broadcasting would reach
+    re1, re2 = a1.real, a2.real
     below = (re2 < 0) & (re2 <= model.a_abscissa)
     if below.any():
         raise DomainError(f"Re s2 = {re2[below][0]:g} is below the continuation abscissa")

@@ -30,6 +30,16 @@ three doubling radii and offset at most 0.05 from the axis.
 
 Every count is certified by two sampling densities that agree, and one
 dense grid serves both: the coarse pass reads every 4th dense sample.
+
+One find_kernel_roots call takes many points (z, s) and runs each stage once
+for all of them: the companion matrices of one size share one eigenvalue
+call, every point's discs are one kernel evaluation and one row-wise FFT per
+level, the half-disc counts are one count_left_zeros call on rows, and the
+residuals are one evaluation.  Only the moment locator's adaptive boxes run
+point by point.  Every point keeps every certificate and its own budget; a
+point that fails raises for the whole call, and the message names it.  No
+kernel call holds more than _BATCH_POINTS points.  A scalar call is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -45,16 +55,19 @@ from .contour import _eval_density, _gauss_legendre
 from .errors import (
     CountMismatch,
     DomainError,
+    EvalError,
     NoConvergence,
     NonIntegerWinding,
     PreconditionViolated,
+    WalkfluctError,
     ZeroOnContour,
 )
 from .model import RationalKernel
 
 __all__ = ["RootReport", "count_left_zeros", "find_kernel_roots", "verify_rouche"]
 
-_AXIS_TOL = 1e-9  # roots closer to the axis than this count as on-axis
+_AXIS_TOL = 1e-9      # roots closer to the axis than this count as on-axis
+_BATCH_POINTS = 8192  # kernel points one array call may hold
 
 
 @dataclass(frozen=True)
@@ -91,57 +104,120 @@ class RootReport:
         return sum(d.product_err(shift) for d in self.discs)
 
 
+class _Rows:
+    """F(xi, rows) on one row of points per entry of rows, in calls of at most
+    _BATCH_POINTS points: whole rows while they fit, a longer row in pieces.
+    where(row) names a row in error messages."""
+
+    def __init__(self, F, where=lambda row: f" on contour {row}") -> None:
+        self.F, self.where = F, where
+
+    def __call__(self, xi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(xi.shape, dtype=complex)
+        step = max(1, _BATCH_POINTS // max(xi.shape[1], 1))
+        with np.errstate(all="ignore"):
+            for i in range(0, len(rows), step):
+                for j in range(0, xi.shape[1], _BATCH_POINTS):
+                    part = np.s_[i:i + step, j:j + _BATCH_POINTS]
+                    try:
+                        out[part] = self.F(xi[part], rows[i:i + step])
+                    except WalkfluctError:
+                        raise
+                    except Exception as exc:
+                        raise EvalError(f"density evaluation failed: {exc}"
+                                        f"{self.where(rows[i])}") from exc
+                    if not np.isfinite(out[part]).all():
+                        a, b = np.argwhere(~np.isfinite(out[part]))[0]
+                        raise EvalError(f"density returned a non-finite value at xi = "
+                                        f"{xi[part][a, b]:.6g}{self.where(rows[i + a])}")
+        return out
+
+
+class _naming:
+    """Name row's point in the message of any package error raised inside."""
+
+    def __init__(self, F: _Rows, row: int) -> None:
+        self.F, self.row = F, row
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, tb) -> None:
+        if isinstance(err, WalkfluctError):
+            where = self.F.where(self.row)
+            msg = str(err.args[0]) if err.args else ""
+            if not msg.endswith(where):
+                err.args = (msg + where, *err.args[1:])
+
+
 class _BudgetExceeded(NonIntegerWinding):
     """Refinement wants more samples than the seed density justifies."""
+
+
+def _failure(vals: np.ndarray, budget: bool = False) -> Exception:
+    # classify a winding failure; a contour zero drags refined samples toward
+    # it, so min|F| collapses relative to the curve's typical magnitude
+    mags = np.abs(vals)
+    if float(mags.min()) < max(1e-12 * float(np.median(mags)), 1e-280):
+        return ZeroOnContour("kernel magnitude vanishes on the counting contour")
+    if budget:
+        return _BudgetExceeded("phase refinement exceeded its sample budget")
+    return NonIntegerWinding("phase steps failed to resolve under bisection")
+
+
+def _ratios(a: np.ndarray) -> np.ndarray:
+    # each sample over the one before it, cyclically along the last axis
+    out = np.empty_like(a)
+    np.divide(a[..., 1:], a[..., :-1], out=out[..., :-1])
+    np.divide(a[..., :1], a[..., -1:], out=out[..., -1:])
+    return out
+
+
+def _log_steps(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase steps between cyclically consecutive samples along the last axis,
+    where a complex-log step (phase and magnitude ratio jointly) is not
+    finite or exceeds 0.8, and |vals|."""
+    mags = np.abs(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _ratios(vals)
+        # contiguous parts take numpy's vector loop
+        steps = np.arctan2(np.ascontiguousarray(ratio.imag), np.ascontiguousarray(ratio.real))
+        mag = np.log(_ratios(mags))
+    return steps, ~(mag * mag + steps * steps <= 0.64), mags  # NaN fails the test too
 
 
 def _cycle_winding(F, to_point, ts: np.ndarray, vals: np.ndarray) -> int:
     """Winding number of F along a closed curve, by adaptive phase tracking.
 
     to_point maps parameters in [0, 1) onto the curve, and vals holds F at
-    the seed parameters ts; intervals whose complex-log step (phase and
-    magnitude ratio jointly) exceeds 0.8 are bisected until every step is
-    resolved.  Watching the magnitude as well as the phase matters: a zero
-    just off the curve concentrates a near-pi swing in a window far narrower
-    than any fixed sampling, where the wrapped phase step alone can alias to
-    something small, but the |F| dip cannot.
+    the seed parameters ts; intervals whose complex-log step exceeds 0.8 are
+    bisected until every step is resolved.  Watching the magnitude as well
+    as the phase matters: a zero just off the curve concentrates a near-pi
+    swing in a window far narrower than any fixed sampling, where the
+    wrapped phase step alone can alias to something small, but the |F| dip
+    cannot.
 
     Refinement is capped at a few multiples of the seed count: a curve that
     wants more is either undersampled (reseed denser), grazing a zero, or
     inside rounding noise where extra points only breed more unresolved
     steps, so grinding on would cost exponentially and settle nothing.
     """
-    def fail(vals: np.ndarray, budget: bool = False) -> Exception:
-        # classify the failure; a contour zero drags refined samples toward
-        # it, so min|F| collapses relative to the curve's typical magnitude
-        mags = np.abs(vals)
-        if float(mags.min()) < max(1e-12 * float(np.median(mags)), 1e-280):
-            return ZeroOnContour("kernel magnitude vanishes on the counting contour")
-        if budget:
-            return _BudgetExceeded("phase refinement exceeded its sample budget")
-        return NonIntegerWinding("phase steps failed to resolve under bisection")
-
     budget = 8 * ts.size + 1024
     for _ in range(48):
         if float(np.abs(vals).min()) < 1e-280:
             raise ZeroOnContour("kernel magnitude vanishes on the counting contour")
-        ratio = np.empty_like(vals)
-        np.divide(vals[1:], vals[:-1], out=ratio[:-1])
-        np.divide(vals[:1], vals[-1:], out=ratio[-1:])
-        steps = np.arctan2(ratio.imag, ratio.real)
-        metric = np.hypot(np.log(np.abs(ratio)), steps)
-        bad = ~np.isfinite(metric) | (metric > 0.8)
+        steps, bad, _ = _log_steps(vals)
         if not bad.any():
             total = float(np.sum(steps)) / (2.0 * math.pi)
             if abs(total - round(total)) > 0.1:
-                err = fail(vals)
+                err = _failure(vals)
                 if isinstance(err, ZeroOnContour):
                     raise err
                 raise NonIntegerWinding(
                     f"accumulated argument / 2 pi = {total:.4f} is not an integer")
             return int(round(total))
         if ts.size + int(bad.sum()) > budget:
-            raise fail(vals, budget=True)
+            raise _failure(vals, budget=True)
         nxt = np.concatenate([ts[1:], [1.0]])
         mids = 0.5 * (ts[bad] + nxt[bad])
         mid_vals = _eval_density(F, to_point(mids))
@@ -149,7 +225,40 @@ def _cycle_winding(F, to_point, ts: np.ndarray, vals: np.ndarray) -> int:
         vals = np.concatenate([vals, mid_vals])
         order = np.argsort(ts, kind="stable")
         ts, vals = ts[order], vals[order]
-    raise fail(vals)
+    raise _failure(vals)
+
+
+def _windings(F: _Rows, to_point, rows: np.ndarray, ts: np.ndarray,
+              vals: np.ndarray) -> np.ndarray:
+    """Winding numbers of F along the curves of rows, sampled at ts into the
+    rows of vals; NaN where a curve's refinement outgrew its budget.
+
+    One pass takes the log steps of every row.  A row whose steps all resolve
+    sums them; only a row with an unresolved step goes on to _cycle_winding's
+    bisection."""
+    total, unresolved = np.empty(len(rows)), np.empty(len(rows), dtype=bool)
+    step = max(1, _BATCH_POINTS // ts.size)
+    for i in range(0, len(rows), step):  # a call's worth of rows at a time, in cache
+        steps, bad, mags = _log_steps(vals[i:i + step])
+        if mags.min() < 1e-280:
+            raise ZeroOnContour("kernel magnitude vanishes on the counting contour"
+                                + F.where(rows[i + np.argmax(mags.min(axis=1) < 1e-280)]))
+        total[i:i + step] = np.sum(steps, axis=1) / (2.0 * math.pi)
+        unresolved[i:i + step] = bad.any(axis=1)
+    out = np.round(total)
+    for i in np.flatnonzero(unresolved | (np.abs(total - out) > 0.1)):
+        one = rows[i:i + 1]
+        with _naming(F, rows[i]):
+            if not unresolved[i]:
+                err = _failure(vals[i])
+                raise err if isinstance(err, ZeroOnContour) else NonIntegerWinding(
+                    f"accumulated argument / 2 pi = {total[i]:.4f} is not an integer")
+            try:
+                out[i] = _cycle_winding(lambda xi: F(xi[None], one)[0],
+                                        lambda t: to_point(t, one)[0], ts, vals[i])
+            except _BudgetExceeded:
+                out[i] = math.nan  # structure finer than the seeds; only density helps
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,62 +268,75 @@ def _seeds(n: int) -> np.ndarray:
     return ts
 
 
-def _verified_winding(F, to_point, n0: int) -> int:
-    """Winding with a sampling-density certificate.
+def _verified_winding(F: _Rows, to_point, n0: np.ndarray) -> np.ndarray:
+    """Windings of F along curves with a sampling-density certificate each.
 
     The adaptive refinement in _cycle_winding can be fooled when an entire
     near-pi swing and its matching |F| dip both hide strictly between two
     seed samples; reseeding 4x denser moves the sample grid into any such
     window, so two consecutive densities agreeing certifies the count.
 
-    One dense grid serves both densities: F is evaluated on the 4 n0 seeds,
-    and the n0 pass reads every 4th sample, since _seeds(4 n)[::4] equals
-    _seeds(n) bit for bit.  A reseed evaluates only the next 4x grid and
-    compares it with the last dense count.
+    to_point(ts, rows) maps parameters onto the curves of rows, and n0 holds
+    each curve's seed count.  Curves of equal n0 share one dense grid: F is
+    evaluated on the 4 n0 seeds, and the n0 pass reads every 4th sample,
+    since _seeds(4 n)[::4] equals _seeds(n) bit for bit.  A reseed evaluates
+    only the curves whose densities disagree, on the next 4x grid, and
+    compares it with their last dense count.
     """
-    def count(ts: np.ndarray, vals: np.ndarray) -> int | None:
-        try:
-            return _cycle_winding(F, to_point, ts, vals)
-        except _BudgetExceeded:
-            return None  # structure finer than the seeds; only density helps
+    counts = np.empty(len(n0), dtype=int)
+    for n in sorted(set(n0.tolist())):
+        group = np.flatnonzero(n0 == n)
+        step = max(1, _BATCH_POINTS // (4 * n))
+        for i in range(0, len(group), step):  # a call's worth of curves at a time
+            rows, ts = group[i:i + step], _seeds(4 * n)
+            dense = F(to_point(ts, rows), rows)
+            prev = _windings(F, to_point, rows, ts[::4], dense[:, ::4])
+            while True:
+                got = _windings(F, to_point, rows, ts, dense)
+                done = got == prev  # NaN, a refinement over budget, never agrees
+                counts[rows[done]] = got[done]
+                if done.all():
+                    break
+                if ts.size >= 32768:
+                    raise NonIntegerWinding("winding number keeps changing under sampling "
+                                            "refinement" + F.where(rows[~done][0]))
+                prev, rows, ts = got[~done], rows[~done], _seeds(4 * ts.size)
+                dense = F(to_point(ts, rows), rows)
+    return counts
 
-    ts = _seeds(4 * n0)
-    dense = _eval_density(F, to_point(ts))
-    prev = count(ts[::4], dense[::4])
-    while True:
-        got = count(ts, dense)
-        if got is not None and got == prev:
-            return got
-        if ts.size >= 32768:
-            raise NonIntegerWinding(
-                "winding number keeps changing under sampling refinement")
-        prev, ts = got, _seeds(4 * ts.size)
-        dense = _eval_density(F, to_point(ts))
 
-
-def count_left_zeros(F, radius: float, eps: float) -> int:
+def count_left_zeros(F, radius, eps):
     """Zeros of F (with multiplicity) in {Re xi < -eps, |xi| < radius}.
 
-    F must be analytic on and inside the contour and zero-free on it.
+    F must be analytic on and inside the contour and zero-free on it.  radius
+    and eps may instead be equal-length 1-D arrays, one half-disc each; F
+    then takes (xi, rows), one row of points of xi on each half-disc numbered
+    in the integer array rows, and the counts come back as an integer array.
     """
-    if not (math.isfinite(radius) and math.isfinite(eps) and radius > eps > 0):
+    one = np.ndim(radius) == 0
+    radius, eps = np.array(radius, dtype=float, ndmin=1), np.array(eps, dtype=float, ndmin=1)
+    if not (np.isfinite(radius) & (radius > eps) & (eps > 0)).all():
         raise ValueError("need radius > eps > 0")
-    h = math.sqrt(radius * radius - eps * eps)
-    phi = math.asin(eps / radius)
+    geometry = np.array([eps, radius, np.sqrt(radius * radius - eps * eps),
+                         np.arcsin(eps / radius)])
 
-    def to_point(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts)
-        pts = np.empty(ts.shape, dtype=complex)
-        seg = ts < 0.5
-        pts[seg] = -eps + 1j * (-h + 4.0 * h * ts[seg])
-        th = (math.pi / 2 + phi) + (ts[~seg] - 0.5) * 2.0 * (math.pi - 2 * phi)
-        pts[~seg] = radius * np.exp(1j * th)
+    def to_point(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # ts ascending: the segment takes ts < 0.5, the arc the rest
+        e, r, hh, ph = geometry[:, rows, None]
+        k = int(np.searchsorted(ts, 0.5))
+        th = (math.pi / 2 + ph) + (ts[k:] - 0.5) * 2.0 * (math.pi - 2 * ph)
+        pts = np.empty((len(rows), ts.size), dtype=complex)
+        pts.real[:, :k], pts.imag[:, :k] = -e, -hh + 4.0 * hh * ts[:k]
+        pts.real[:, k:], pts.imag[:, k:] = r * np.cos(th), r * np.sin(th)
         return pts
 
+    if not isinstance(F, _Rows):
+        F = _Rows((lambda xi, rows, G=F: G(xi[0])) if one else F)
     # seed finely enough that a dip from a zero at distance ~eps off the
     # segment cannot fall between samples
-    n0 = int(min(16384, max(256, 16.0 * radius / eps)))
-    return _verified_winding(F, to_point, n0)
+    n0 = np.minimum(16384, np.maximum(256, 16.0 * radius / eps)).astype(int)
+    counts = _verified_winding(F, to_point, n0)
+    return int(counts[0]) if one else counts
 
 
 def _trim_poly(p: np.ndarray) -> np.ndarray:
@@ -224,9 +346,30 @@ def _trim_poly(p: np.ndarray) -> np.ndarray:
     return p[int(np.argmax(keep)):]
 
 
+def _roots_many(polys: list) -> list:
+    """[np.roots(p) for p in polys]: the companion matrices of polynomials of
+    one length with nonzero end coefficients share one eigenvalue call."""
+    if len(polys) == 1:
+        return [np.roots(polys[0])]
+    out = [None] * len(polys)
+    for size in {len(p) for p in polys}:
+        idx = [i for i, p in enumerate(polys) if len(p) == size]
+        P = np.array([polys[i] for i in idx], dtype=complex).reshape(len(idx), size)
+        plain = (P[:, 0] != 0) & (P[:, -1] != 0) if size > 1 else np.zeros(len(idx), bool)
+        for i in np.asarray(idx)[~plain]:
+            out[i] = np.roots(polys[i])  # zero end coefficients: np.roots strips them
+        if plain.any():
+            A = np.zeros((int(plain.sum()), size - 1, size - 1), dtype=complex)
+            A[:, np.arange(1, size - 1), np.arange(size - 2)] = 1.0
+            A[:, 0, :] = -P[plain, 1:] / P[plain, :1]
+            for i, roots in zip(np.asarray(idx)[plain], np.linalg.eigvals(A)):
+                out[i] = roots
+    return out
+
+
 def _check_count_domain(z: complex, s: complex, stable_drift) -> None:
     if not (cmath.isfinite(z) and cmath.isfinite(s)):
-        raise DomainError(f"z = {z} and s = {s} must be finite")
+        raise DomainError("z and s must be finite")
     if s.real < -1e-12:
         raise PreconditionViolated("Re s must be nonnegative")
     az = abs(z)
@@ -273,7 +416,7 @@ def _coeff_bound(kernel: RationalKernel, z: complex, s: complex) -> float:
 
 # --- contour-moment locator --------------------------------------------------
 
-_LOCATE_BUDGET = 60_000  # kernel evaluations one contour-moment location may spend
+_LOCATE_BUDGET = 60_000  # kernel evaluations one point's location may spend
 _ORDER = 24              # power sums kept per root disc
 
 
@@ -289,27 +432,30 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Budget:
-    """The kernel, with every evaluation charged to one location's budget."""
+    """One point's kernel, with every evaluation charged to its location's budget."""
 
     def __init__(self, F, count: int) -> None:
         self.F, self.used, self.count, self.level, self.gap = F, 0, count, 0, None
 
-    def __call__(self, xi):
-        self.used += int(np.size(xi))
+    def charge(self, n: int) -> None:
+        self.used += n
         if self.used > _LOCATE_BUDGET:
             raise NoConvergence(
                 f"root location exceeded its budget: {self.used} of {_LOCATE_BUDGET} "
                 f"kernel evaluations, root count N = {self.count} (the kernel degree), "
                 f"panel level {self.level}, last |p_0 - N| = {self.gap}")
+
+    def __call__(self, xi):
+        self.charge(int(np.size(xi)))
         return self.F(xi)
 
 
-def _roots_from_power_sums(p: np.ndarray) -> np.ndarray:
-    """Roots of the monic polynomial whose zeros have power sums p_1..p_n."""
+def _power_sum_poly(p: np.ndarray) -> np.ndarray:
+    """The monic polynomial whose zeros have power sums p_1..p_n."""
     e = [1.0 + 0j]
     for k in range(1, p.size):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
-    return np.roots(np.array(e) * (-1.0) ** np.arange(p.size))
+    return np.array(e) * (-1.0) ** np.arange(p.size)
 
 
 def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
@@ -356,7 +502,7 @@ def _box_roots(F: _Budget, x0: float, x1: float, y0: float, y1: float,
     if F.gap > 1e-6:
         raise CountMismatch(f"moment p_0 misses the root count {count} (the kernel degree) "
                             f"by {F.gap:.3g}")
-    return center + scale * _roots_from_power_sums(total)
+    return center + scale * np.roots(_power_sum_poly(total))
 
 
 @functools.cache
@@ -369,18 +515,21 @@ def _disc_rule() -> tuple[np.ndarray, list]:
     return np.exp(2j * math.pi * np.arange(128) / 128), mults
 
 
-def _disc_moments(F, center: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _disc_moments(F: _Rows, centers: np.ndarray, radii: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid sums of (1/2 pi i) oint ((xi - center)/radius)^k F'/F dxi,
     k <= _ORDER, with F' from the spectral derivative on the circle, at 64
-    and at 128 nodes; the 64 nodes are every other one of the 128."""
+    and at 128 nodes; the 64 nodes are every other one of the 128.  One row
+    per disc, on the point numbered in rows, all from one evaluation."""
     unit, mults = _disc_rule()
-    vals = _eval_density(F, center + radius * unit)
-    if not np.all(vals):
-        raise ZeroOnContour("kernel vanishes on a root disc")
+    vals = F(centers[:, None] + radii[:, None] * unit, rows)
+    zero = ~np.all(vals, axis=1)
+    if zero.any():
+        raise ZeroOnContour("kernel vanishes on a root disc" + F.where(rows[np.argmax(zero)]))
     sums = []
-    for w, mult in zip((vals[::2], vals), mults):
+    for w, mult in zip((vals[:, ::2], vals), mults):
         g = np.fft.ifft(mult * np.fft.fft(w)) / w
-        sums.append(np.fft.ifft(g)[:_ORDER + 1] / 1j)  # (1/n) sum_j g_j v_j^k
+        sums.append(np.fft.ifft(g)[:, :_ORDER + 1] / 1j)  # (1/n) sum_j g_j v_j^k
     return sums[0], sums[1]
 
 
@@ -408,62 +557,116 @@ class RootDisc:
         x = self.radius / abs(shift - self.center)
         if x >= 1.0:
             return math.inf
-        body = x * float(np.polynomial.polynomial.polyval(x, self.terms))
+        body = 0.0
+        for t in reversed(self.terms):  # Horner, as polyval sums
+            body = t + body * x
+        body *= x
         return body + 2 * len(self.roots) * x ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - x))
 
 
-def _settle(F, roots: list[complex], count: int) -> tuple[list, tuple]:
-    """Check every root estimate, or group of near estimates, on a disc of its own.
+def _disc_of(group: list, roots: list) -> tuple[complex, float]:
+    # about the group mean, clear of the axis and of the other estimates
+    c0 = group[0] if len(group) == 1 else complex(np.mean(group))
+    gap = min((abs(r - c0) for r in roots if r not in group), default=math.inf)
+    return c0, min(-c0.real / 4.0, gap / 3.0)
+
+
+def _reported(F: _Rows, discs: list, owner: list) -> list:
+    """Each disc's RootDisc: the m roots of its own power sums, and their error
+    terms.  discs holds (center, radius, m, coarse, fine) for discs with m > 0,
+    on the points numbered in owner; discs of one m are computed together."""
+    out = [None] * len(discs)
+    polys = _roots_many([_power_sum_poly(d[4][:d[2] + 1]) for d in discs])
+    j = np.arange(1, _ORDER + 1)
+    for m in {d[2] for d in discs}:
+        idx = [k for k, d in enumerate(discs) if d[2] == m]
+        c0 = np.array([discs[k][0] for k in idx])[:, None]
+        radius = np.array([discs[k][1] for k in idx])[:, None]
+        coarse, fine = (np.array([discs[k][i] for k in idx]) for i in (3, 4))
+        local = c0 + radius * np.array([polys[k] for k in idx])
+        u = (local - c0) / radius
+        for n in np.flatnonzero(np.abs(u).max(axis=1) >= 1.0)[:1]:
+            with _naming(F, owner[idx[n]]):
+                raise CountMismatch(f"reported roots leave the disc about {c0[n, 0]:.8g}")
+        err = 2.0 * np.abs(fine[:, 1:] - coarse[:, 1:]) + 1e-13  # the level gap, doubled
+        gap = np.abs(fine[:, 1:] - (u[:, :, None] ** j).sum(axis=1))
+        terms = (gap + err) / j
+        for n, k in enumerate(idx):
+            out[k] = RootDisc(discs[k][0], discs[k][1], tuple(local[n].tolist()),
+                              tuple(terms[n].tolist()))
+    return out
+
+
+def _settle(F: _Rows, budgets: list, estimates: list) -> list:
+    """Check every point's root estimates, or groups of near estimates, each
+    on a disc of its own; returns each point's roots and discs.
 
     Estimates within 1e-3 (1 + |r|) of each other form a group.  Its disc,
     about the group mean and clear of the axis and of the other estimates,
     must hold an integer number m of zeros at 64 and at 128 trapezoid nodes;
     a disc that does not is in rounding noise, and its group joins the
-    nearest one.  Every disc reports the m roots of its own power sums,
-    which average the kernel's rounding noise over the circle and stay
-    accurate for numerically coincident zeros.
+    nearest one, so that point's discs are drawn again.  Every disc reports
+    the m roots of its own power sums, which average the kernel's rounding
+    noise over the circle and stay accurate for numerically coincident
+    zeros.  The discs of every point still open are one evaluation per round.
     """
-    groups: list[list[complex]] = []
-    for r in roots:
-        near = [g for g in groups if any(abs(r - q) <= 1e-3 * (1.0 + abs(r)) for q in g)]
-        groups = [g for g in groups if g not in near] + [[r] + [q for g in near for q in g]]
-    while True:
-        discs = []
-        for g in groups:
-            c0 = complex(np.mean(g))
-            gap = min((abs(r - c0) for r in roots if r not in g), default=math.inf)
-            radius = min(-c0.real / 4.0, gap / 3.0)
-            coarse, fine = _disc_moments(F, c0, radius)
-            m = round(fine[0].real)
-            if max(abs(coarse[0] - m), abs(fine[0] - m)) > 1e-6:
-                break
-            discs.append((c0, radius, m, coarse, fine))
-        else:
-            break
-        if len(groups) == 1:
-            raise NoConvergence(f"the disc about {c0:.8g} gives no integer zero count: "
-                                f"p_0 = {fine[0]:.6g}")
-        # a disc in rounding noise: widen it by joining the nearest group
-        near = min((h for h in groups if h is not g),
-                   key=lambda h: min(abs(r - c0) for r in h))
-        groups = [h for h in groups if h is not g and h is not near] + [g + near]
-    out: list[complex] = []
-    settled = []
-    j = np.arange(1, _ORDER + 1)
-    for c0, radius, m, coarse, fine in discs:
-        if m == 0:
-            continue
-        local = tuple(complex(r) for r in c0 + radius * _roots_from_power_sums(fine[:m + 1]))
-        u = (np.asarray(local) - c0) / radius
-        if np.abs(u).max() >= 1.0:
-            raise CountMismatch(f"reported roots leave the disc about {c0:.8g}")
-        err = 2.0 * np.abs(fine[1:] - coarse[1:]) + 1e-13  # the level gap, doubled
-        gap = np.abs(fine[1:] - (u[:, None] ** j).sum(axis=0))
-        settled.append(RootDisc(c0, radius, local, tuple((gap + err) / j)))
-        out.extend(local)
-    if len(out) != count:
-        raise CountMismatch(f"root discs hold {len(out)} zeros, the kernel degree is {count}")
-    return out, tuple(settled)
+    groups = []
+    for roots in estimates:
+        gs: list[list[complex]] = []
+        for r in roots:
+            near = [g for g in gs if any(abs(r - q) <= 1e-3 * (1.0 + abs(r)) for q in g)]
+            gs = [g for g in gs if g not in near] + [[r] + [q for g in near for q in g]]
+        groups.append(gs)
+    found: list = [[] for _ in estimates]
+    todo = [i for i, gs in enumerate(groups) if gs]
+    while todo:
+        rows = np.array([i for i in todo for _ in groups[i]])
+        shapes = [_disc_of(g, estimates[i]) for i in todo for g in groups[i]]
+        for i in todo:
+            with _naming(F, i):
+                budgets[i].charge(128 * len(groups[i]))
+        coarse, fine = _disc_moments(F, np.array([c for c, _ in shapes]),
+                                     np.array([r for _, r in shapes]), rows)
+        counts = np.round(fine[:, 0].real)
+        whole = (np.maximum(np.abs(coarse[:, 0] - counts), np.abs(fine[:, 0] - counts))
+                 <= 1e-6).tolist()
+        retry, k = [], 0
+        for i in todo:
+            discs = []
+            for g in groups[i]:
+                if not whole[k]:
+                    break
+                discs.append((*shapes[k], int(counts[k]), coarse[k], fine[k]))
+                k += 1
+            else:
+                found[i] = discs
+                continue
+            c0, p0 = shapes[k][0], fine[k, 0]
+            k += len(groups[i]) - len(discs)
+            with _naming(F, i):
+                if len(groups[i]) == 1:
+                    raise NoConvergence(f"the disc about {c0:.8g} gives no integer zero "
+                                        f"count: p_0 = {p0:.6g}")
+            # a disc in rounding noise: widen it by joining the nearest group
+            near = min((h for h in groups[i] if h is not g),
+                       key=lambda h: min(abs(r - c0) for r in h))
+            groups[i] = [h for h in groups[i] if h is not g and h is not near] + [g + near]
+            retry.append(i)
+        todo = retry
+    owner = [i for i, discs in enumerate(found) for d in discs if d[2] != 0]
+    reported = _reported(F, [d for discs in found for d in discs if d[2] != 0], owner)
+    mine: list[list] = [[] for _ in found]
+    for d, i in zip(reported, owner):
+        mine[i].append(d)
+    out = []
+    for i, settled in enumerate(map(tuple, mine)):
+        roots = [r for d in settled for r in d.roots]
+        if len(roots) != budgets[i].count:
+            with _naming(F, i):
+                raise CountMismatch(f"root discs hold {len(roots)} zeros, the kernel "
+                                    f"degree is {budgets[i].count}")
+        out.append((roots, settled))
+    return out
 
 
 def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex, s: complex,
@@ -493,19 +696,23 @@ def _moment_estimates(F: _Budget, kernel: RationalKernel, z: complex, s: complex
     return approx
 
 
-def _locate(F, kernel: RationalKernel, z: complex, s: complex,
-            scale: float) -> tuple[list[complex], tuple]:
-    """Left zeros of F and their discs, all on one budget.  Their number is
-    the kernel degree, by Rouche's theorem; a kernel that clears to a
-    polynomial takes its first estimates from a companion solve, the rest
+def _locate(F: _Rows, kernel: RationalKernel, points: list, scale: np.ndarray) -> list:
+    """Left zeros and discs at every point, each point on one budget.  Their
+    number is the kernel degree, by Rouche's theorem; a kernel that clears to
+    a polynomial takes its first estimates from companion solves, the rest
     from the contour-moment locator, and every estimate is settled against
     that number."""
-    F = _Budget(F, kernel.degree)
+    budgets = [_Budget(None, kernel.degree) for _ in points]
     if kernel.clear_fn is None:
-        approx = _moment_estimates(F, kernel, z, s, scale)
+        approx = []
+        for i, (z, s) in enumerate(points):
+            budgets[i].F = lambda xi, row=np.array([i]): F(xi.reshape(1, -1), row).reshape(xi.shape)
+            with _naming(F, i):
+                approx.append(_moment_estimates(budgets[i], kernel, z, s, scale[i]))
     else:
-        approx = np.roots(_trim_poly(kernel.clear_fn(z, s)))
-    return _settle(F, [complex(r) for r in approx if r.real < -_AXIS_TOL], F.count)
+        approx = _roots_many([_trim_poly(kernel.clear_fn(z, s)) for z, s in points])
+    return _settle(F, budgets, [[complex(r) for r in a if r.real < -_AXIS_TOL]
+                                for a in approx])
 
 
 def _contour_params(roots) -> tuple[float, float]:
@@ -517,8 +724,16 @@ def _contour_params(roots) -> tuple[float, float]:
     return max(eps, 1e-9), radius
 
 
-def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
-                      stable_drift: bool | None = None) -> RootReport:
+def _column(a: np.ndarray):
+    # rows -> a[rows] as a column against a row of samples; a value shared by
+    # every point stays a scalar, so the kernel combines its coefficients once
+    if (a == a[0]).all():
+        shared = complex(a[0])
+        return lambda rows: shared
+    return lambda rows: a[rows, None]
+
+
+def find_kernel_roots(kernel: RationalKernel, z, s, stable_drift: bool | None = None):
     """All open-left-half-plane roots of h2(xi, s-xi) - z*h1(xi, s-xi).
 
     Their number is the kernel degree, the count Rouche's theorem gives in
@@ -531,27 +746,45 @@ def find_kernel_roots(kernel: RationalKernel, z: complex, s: complex,
     guaranteed, raises PreconditionViolated; z = 1 with Re s = 0
     additionally needs the caller to assert negative drift via
     stable_drift=True.
+
+    z and s broadcast.  Scalars give one RootReport; arrays give a list of
+    them, one per point in C order, found with each stage run once for all
+    the points.  A point that fails raises for the call, naming the point.
     """
-    z, s = complex(z), complex(s)
-    _check_count_domain(z, s, stable_drift)
-    F = _shifted(kernel, z, s)
+    za, sa = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(s, dtype=complex))
+    zs, ss = za.ravel(), sa.ravel()
+    if not zs.size:
+        return []
+    zr, sr = _column(zs), _column(ss)
+    F = _Rows(lambda xi, rows: kernel.eval_shifted(xi, zr(rows), sr(rows)),
+              lambda row: f" at z = {complex(zs[row]):.6g}, s = {complex(ss[row]):.6g}")
+    points = list(zip(zs.tolist(), ss.tolist()))
+    for i, (zi, si) in enumerate(points):
+        with _naming(F, i):
+            _check_count_domain(zi, si, stable_drift)
     # |h2(0, s)| sizes the kernel; unlike |F(0)| it does not vanish at z = 1, s = 0
-    scale = abs(complex(kernel.eval_shifted(0.0, 0.0, s)))
-    refined, discs = _locate(F, kernel, z, s, scale)
-    refined.sort(key=lambda r: (r.real, r.imag))
-    eps, radius = _contour_params(refined)
+    scale = np.abs(kernel.eval_shifted(0.0, 0.0, ss))
+    located = _locate(F, kernel, points, scale)
+    refined = [sorted(roots, key=lambda r: (r.real, r.imag)) for roots, _ in located]
+    params = [_contour_params(r) for r in refined]
+    eps, radius = (np.array(v) for v in zip(*params))
     n_ap = count_left_zeros(F, radius, eps)
-    if n_ap != len(refined):
-        raise CountMismatch(
-            f"located {len(refined)} roots but the argument principle counts {n_ap}")
-    residuals = tuple(abs(complex(F(r))) for r in refined)
-    bad = [r for r, res in zip(refined, residuals) if res >= 1e-8 * scale]
-    if bad:
-        raise CountMismatch(f"root {bad[0]:.8g} failed residual certification")
-    return RootReport(roots=tuple(refined), residuals=residuals,
-                      count_argument_principle=n_ap,
-                      contour_radius=radius, contour_offset_eps=eps,
-                      discs=discs)
+    res = np.abs(F(np.array(refined).reshape(len(points), -1), np.arange(len(points))))
+    failed = res >= 1e-8 * scale[:, None]
+    reports = []
+    for i, (roots, (_, discs), n, r) in enumerate(zip(refined, located, n_ap.tolist(),
+                                                      res.tolist())):
+        with _naming(F, i):
+            if n != len(roots):
+                raise CountMismatch(
+                    f"located {len(roots)} roots but the argument principle counts {n}")
+            if failed[i].any():
+                raise CountMismatch(f"root {roots[np.argmax(failed[i])]:.8g} failed residual "
+                                    "certification")
+        reports.append(RootReport(roots=tuple(roots), residuals=tuple(r),
+                                  count_argument_principle=n, contour_radius=params[i][1],
+                                  contour_offset_eps=params[i][0], discs=discs))
+    return reports[0] if za.ndim == 0 else reports
 
 
 def _stable_count(F, radius: float, eps: float) -> int:

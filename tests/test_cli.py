@@ -18,9 +18,9 @@ import pytest
 
 import walkfluct
 import walkfluct.fluct
-from walkfluct.cli import emit_csv, load_model, random_atomic_measure, run
+from walkfluct.cli import _EVAL_HEADER, emit_csv, load_model, random_atomic_measure, run
 from walkfluct.errors import ParseError
-from walkfluct.fluct import busy_period_rational, walk_functionals
+from walkfluct.fluct import busy_period_rational, max_transform_rational, walk_functionals
 from walkfluct.model import (
     Deterministic, Erlang, Exponential, Hyperexponential, Uniform, build_product_model,
 )
@@ -518,6 +518,43 @@ def test_rational_grid_shares_the_base_roots(tmp_path, monkeypatch, functional):
         assert len(base_finds) == 1
     assert len(_read_csv(outputs[0])) == (3 if functional == "steps" else 9)
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_rational_max_grid_finds_each_z_once(tmp_path, monkeypatch):
+    # each z row of a rational max grid is one array call, whose roots are
+    # found once at s = 0; its CSV is the one per-point calls write, at one
+    # thread and at four
+    path = tmp_path / "markov.yaml"
+    path.write_text(MARKOV_YAML)
+    zs, ss = [0.3, 0.5 + 0.2j, 0.8], [0.4, 1.2 + 0.5j, 2.0]
+    args = ["eval", "max", "--model", str(path), "--engine", "rational",
+            "--z", "0.3,0.5+0.2j,0.8", "--s", "0.4,1.2+0.5j,2.0"]
+    wf = walk_functionals(load_model(str(path)))
+    expected = tmp_path / "points.csv"
+    rows = []
+    for z in zs:
+        for s in ss:
+            tv = max_transform_rational(wf, complex(z), complex(s))
+            rows.append([complex(z).real, complex(z).imag, complex(s).real, complex(s).imag,
+                         tv.value.real, tv.value.imag, tv.abs_err, tv.method])
+    emit_csv(_EVAL_HEADER, rows, str(expected))
+
+    real_find = walkfluct.fluct.find_kernel_roots
+    shifted = []
+
+    def counting_find(kernel, z, s, **kw):
+        if not (z == 0 and s == 0):
+            shifted.append(z)
+        return real_find(kernel, z, s, **kw)
+
+    monkeypatch.setattr(walkfluct.fluct, "find_kernel_roots", counting_find)
+    for threads in ("1", "4"):
+        shifted.clear()
+        monkeypatch.setenv("WALKFLUCT_THREADS", threads)
+        out = tmp_path / f"{threads}.csv"
+        assert run(args + ["--out", str(out)]) == 0
+        assert sorted(shifted, key=lambda z: (z.real, z.imag)) == [complex(z) for z in zs]
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_grid_pool_does_not_nest_block_pools(mm1_file, tmp_path, monkeypatch):

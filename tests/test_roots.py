@@ -270,7 +270,9 @@ def test_disc_moments_match_the_power_matrix_sum():
     # the same sum written out, with F evaluated at each node count
     F = lambda x: (x + 1.0) * (x + 1.2 - 0.3j) * (x + 3.0) * np.exp(0.2 * x)
     center, radius = -1.1 + 0.1j, 0.5
-    for n, got in zip((64, 128), _disc_moments(F, center, radius)):
+    sums = _disc_moments(roots._Rows(lambda x, rows: F(x)), np.array([center]),
+                         np.array([radius]), np.array([0]))
+    for n, got in zip((64, 128), (row[0] for row in sums)):
         v = np.exp(2j * math.pi * np.arange(n) / n)
         vals = F(center + radius * v)
         freq = np.fft.fftfreq(n, 1.0 / n)
@@ -359,31 +361,34 @@ def test_half_disc_count_reads_one_dense_grid():
 def _fake_windings(monkeypatch, count) -> list:
     sizes = []
 
-    def fake(F, to_point, ts, vals):
-        assert vals.size == ts.size
+    def fake(F, to_point, rows, ts, vals):
+        assert vals.shape == (rows.size, ts.size)
         sizes.append(ts.size)
-        return count(ts.size)
+        return np.full(rows.size, float(count(ts.size)))
 
-    monkeypatch.setattr(roots, "_cycle_winding", fake)
+    monkeypatch.setattr(roots, "_windings", fake)
     return sizes
 
 
-def _circle(ts):
-    return np.exp(2j * math.pi * np.asarray(ts))
+def _circle(ts, rows):
+    return np.exp(2j * math.pi * np.asarray(ts)) * np.ones((len(rows), 1))
+
+
+_IDENTITY = roots._Rows(lambda xi, rows: xi)
 
 
 def test_density_disagreement_reseeds(monkeypatch):
     # n0 and 4 n0 disagree, 4 n0 and 16 n0 agree: one reseed, and the
     # 4 n0 pass is not run twice
     sizes = _fake_windings(monkeypatch, lambda n: 0 if n == 64 else 1)
-    assert roots._verified_winding(lambda xi: xi, _circle, 64) == 1
+    assert roots._verified_winding(_IDENTITY, _circle, np.array([64])) == [1]
     assert sizes == [64, 256, 1024]
 
 
 def test_density_certificate_raises_at_the_cap(monkeypatch):
     sizes = _fake_windings(monkeypatch, lambda n: n)
     with pytest.raises(NonIntegerWinding, match="keeps changing"):
-        roots._verified_winding(lambda xi: xi, _circle, 128)
+        roots._verified_winding(_IDENTITY, _circle, np.array([128]))
     assert sizes == [128, 512, 2048, 8192, 32768]
 
 
