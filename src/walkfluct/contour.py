@@ -27,7 +27,6 @@ only; phi(xi)/(xi - s) is one at a real s when phi(conj xi) = conj phi(xi).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -88,14 +87,10 @@ class TransformValue:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {sorted(_METHODS)}")
-        err, value = self.abs_err, self.value
-        if isinstance(err, np.ndarray) or isinstance(value, np.ndarray):
-            finite, sign = np.isfinite(value).all(), np.isfinite(err).all() and (err >= 0).all()
-        else:
-            finite, sign = cmath.isfinite(value), math.isfinite(err) and err >= 0.0
-        if not sign:
+        err = np.asarray(self.abs_err)
+        if not (np.isfinite(err) & (err >= 0.0)).all():
             raise ValueError("abs_err must be finite and nonnegative")
-        if not finite:
+        if not np.isfinite(self.value).all():
             raise ValueError("value must be finite")
 
 

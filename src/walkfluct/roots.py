@@ -234,8 +234,8 @@ def _windings(F: _Rows, to_point, rows: np.ndarray, ts: np.ndarray,
     rows of vals; NaN where a curve's refinement outgrew its budget.
 
     One pass takes the log steps of every row.  A row whose steps all resolve
-    sums them; only a row with an unresolved step goes on to _cycle_winding's
-    bisection."""
+    to an integer total keeps it; any other row goes on to _cycle_winding,
+    which bisects its unresolved steps or raises."""
     total, unresolved = np.empty(len(rows)), np.empty(len(rows), dtype=bool)
     step = max(1, _BATCH_POINTS // ts.size)
     for i in range(0, len(rows), step):  # a call's worth of rows at a time, in cache
@@ -243,16 +243,12 @@ def _windings(F: _Rows, to_point, rows: np.ndarray, ts: np.ndarray,
         if mags.min() < 1e-280:
             raise ZeroOnContour("kernel magnitude vanishes on the counting contour"
                                 + F.where(rows[i + np.argmax(mags.min(axis=1) < 1e-280)]))
-        total[i:i + step] = np.sum(steps, axis=1) / (2.0 * math.pi)
+        total[i:i + step] = steps.sum(axis=1) / (2.0 * math.pi)
         unresolved[i:i + step] = bad.any(axis=1)
-    out = np.round(total)
-    for i in np.flatnonzero(unresolved | (np.abs(total - out) > 0.1)):
+    out = total.round()
+    for i in (unresolved | (abs(total - out) > 0.1)).nonzero()[0]:
         one = rows[i:i + 1]
         with _naming(F, rows[i]):
-            if not unresolved[i]:
-                err = _failure(vals[i])
-                raise err if isinstance(err, ZeroOnContour) else NonIntegerWinding(
-                    f"accumulated argument / 2 pi = {total[i]:.4f} is not an integer")
             try:
                 out[i] = _cycle_winding(lambda xi: F(xi[None], one)[0],
                                         lambda t: to_point(t, one)[0], ts, vals[i])
@@ -285,7 +281,7 @@ def _verified_winding(F: _Rows, to_point, n0: np.ndarray) -> np.ndarray:
     """
     counts = np.empty(len(n0), dtype=int)
     for n in sorted(set(n0.tolist())):
-        group = np.flatnonzero(n0 == n)
+        group = (n0 == n).nonzero()[0]
         step = max(1, _BATCH_POINTS // (4 * n))
         for i in range(0, len(group), step):  # a call's worth of curves at a time
             rows, ts = group[i:i + step], _seeds(4 * n)
@@ -349,21 +345,19 @@ def _trim_poly(p: np.ndarray) -> np.ndarray:
 def _roots_many(polys: list) -> list:
     """[np.roots(p) for p in polys]: the companion matrices of polynomials of
     one length with nonzero end coefficients share one eigenvalue call."""
-    if len(polys) == 1:
-        return [np.roots(polys[0])]
-    out = [None] * len(polys)
-    for size in {len(p) for p in polys}:
-        idx = [i for i, p in enumerate(polys) if len(p) == size]
-        P = np.array([polys[i] for i in idx], dtype=complex).reshape(len(idx), size)
-        plain = (P[:, 0] != 0) & (P[:, -1] != 0) if size > 1 else np.zeros(len(idx), bool)
-        for i in np.asarray(idx)[~plain]:
-            out[i] = np.roots(polys[i])  # zero end coefficients: np.roots strips them
-        if plain.any():
-            A = np.zeros((int(plain.sum()), size - 1, size - 1), dtype=complex)
-            A[:, np.arange(1, size - 1), np.arange(size - 2)] = 1.0
-            A[:, 0, :] = -P[plain, 1:] / P[plain, :1]
-            for i, roots in zip(np.asarray(idx)[plain], np.linalg.eigvals(A)):
-                out[i] = roots
+    out, sizes = [None] * len(polys), {}
+    for i, p in enumerate(polys):
+        if len(p) > 1 and p[0] != 0 and p[-1] != 0:
+            sizes.setdefault(len(p), []).append(i)
+        else:
+            out[i] = np.roots(p)  # zero end coefficients: np.roots strips them
+    for size, idx in sizes.items():
+        P = np.array([polys[i] for i in idx], dtype=complex)
+        A = np.zeros((len(idx), size - 1, size - 1), dtype=complex)
+        A.reshape(len(idx), -1)[:, size - 1::size] = 1.0  # the subdiagonal
+        A[:, 0, :] = -P[:, 1:] / P[:, :1]
+        for i, roots in zip(idx, np.linalg.eigvals(A)):
+            out[i] = roots
     return out
 
 
@@ -772,13 +766,13 @@ def find_kernel_roots(kernel: RationalKernel, z, s, stable_drift: bool | None = 
     res = np.abs(F(np.array(refined).reshape(len(points), -1), np.arange(len(points))))
     failed = res >= 1e-8 * scale[:, None]
     reports = []
-    for i, (roots, (_, discs), n, r) in enumerate(zip(refined, located, n_ap.tolist(),
-                                                      res.tolist())):
+    for i, (roots, (_, discs), n, r, bad) in enumerate(zip(
+            refined, located, n_ap.tolist(), res.tolist(), failed.any(axis=1).tolist())):
         with _naming(F, i):
             if n != len(roots):
                 raise CountMismatch(
                     f"located {len(roots)} roots but the argument principle counts {n}")
-            if failed[i].any():
+            if bad:
                 raise CountMismatch(f"root {roots[np.argmax(failed[i])]:.8g} failed residual "
                                     "certification")
         reports.append(RootReport(roots=tuple(roots), residuals=tuple(r),

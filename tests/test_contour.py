@@ -399,3 +399,9 @@ def test_transform_value_validation():
         TransformValue(1.0 + 0j, 0.0, "guesswork")
     with pytest.raises(ValueError):
         TransformValue(complex("inf"), 0.0, "contour")
+    for err in (math.nan, math.inf, np.array([0.0, math.nan]), np.array([0.0, -1e-300])):
+        with pytest.raises(ValueError, match="abs_err"):
+            TransformValue(np.ones(np.shape(err), dtype=complex), err, "rational")
+    with pytest.raises(ValueError, match="value must be finite"):
+        TransformValue(np.array([1.0, complex(0, math.nan)]), np.zeros(2), "rational")
+    assert TransformValue(np.ones(3, dtype=complex), np.zeros(3), "rational").value.shape == (3,)
